@@ -262,11 +262,15 @@ int main() {
     C.Threads = 2;
     C.QueueCap = 16;
     C.BlockOnFull = false; // reject policy is the point of this phase
+    // Pin the background compile to fail so every request of this phase
+    // is interpreter-tier: a compile that lands mid-burst would otherwise
+    // serve the queued tail from the JIT tier, and its queue wait behind
+    // interpreter requests would land in the JIT tier's percentiles.
+    C.OptFlags = "-O1 -fthis-flag-does-not-exist";
     OverloadQueueCap = C.QueueCap;
     Executor Ex(C);
-    // A fresh fingerprint: requests are interpreter-tier (the compile is
-    // still in flight), i.e. slow relative to the burst — a genuine
-    // overload.
+    // A fresh fingerprint: requests are interpreter-tier, i.e. slow
+    // relative to the burst — a genuine overload.
     Func F = makeWorkload(77.0);
 
     Offered = 10 * C.QueueCap;

@@ -4,11 +4,12 @@
 /// Lowers a scheduled Func to a self-contained C++ translation unit (the
 /// CPU backend of paper §4.3: "we generate OpenMP or CUDA code from the AST
 /// and invoke dedicated backend compilers"). Parallel loops lower to the
-/// runtime thread pool, vectorize/unroll properties become pragmas, atomic
+/// host's thread pool, vectorize/unroll properties become pragmas, atomic
 /// reductions become CAS loops, and GemmCall becomes a library call.
 ///
-/// The kernel ABI is `extern "C" void <name>(void **params)` with one
-/// pointer per Func parameter, in order.
+/// The kernel ABI is `extern "C" void <name>(void **params, ft_rt_ctx *ctx)`
+/// with one pointer per Func parameter, in order, and the per-call context
+/// of codegen/rt/ft_prelude.h, the only header the source includes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +17,7 @@
 #define FT_CODEGEN_CODEGEN_H
 
 #include <string>
+#include <vector>
 
 #include "ir/func.h"
 
@@ -25,18 +27,20 @@ namespace ft {
 struct CodegenOptions {
   /// Instrument the emitted kernel with the statement-level profiler:
   /// every For (and GemmCall) gets per-thread call/iteration/time counters
-  /// keyed by its StmtNode::Id (hot leaf loops are timed on a 1-in-64 call
-  /// sample), kernel-allocated tensors are wrapped in live-byte tracking,
-  /// and a versioned `<symbol>_rt_profile` export is emitted next to
-  /// `<symbol>_rt_stats` so the host JIT can pull the table back. Off by
-  /// default; the profile-off emission is byte-identical to a build
-  /// without this option.
+  /// in the slot profileSlotIds() gives it (hot loops are timed on 1 in 64
+  /// invocations), written into the per-call slot arrays the host passes
+  /// in ft_rt_ctx::prof. Off by default; the profile-off emission is
+  /// byte-identical to a build without this option.
   bool Profile = false;
 };
 
 /// Emits a complete C++ source file implementing \p F.
 std::string generateCpp(const Func &F, const CodegenOptions &Opts);
 std::string generateCpp(const Func &F);
+
+/// The statement id of each profiler slot of \p F's profiled kernel: -1
+/// (the kernel body) first, then every For and GemmCall in pre-order.
+std::vector<int64_t> profileSlotIds(const Func &F);
 
 /// The exported symbol name of the kernel generated for \p F.
 std::string kernelSymbol(const Func &F);

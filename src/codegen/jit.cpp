@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <dlfcn.h>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <sys/stat.h>
 #include <vector>
@@ -17,7 +18,7 @@
 #include "codegen/codegen.h"
 #include "codegen/kernel_cache.h"
 #include "codegen/profile.h"
-#include "codegen/rt/ft_runtime.h"
+#include "codegen/rt/host.h"
 #include "support/metrics.h"
 #include "support/trace.h"
 
@@ -91,30 +92,6 @@ bool hasExplicitSimdLoop(const Stmt &S) {
   }
 }
 
-/// Reads and validates the versioned `<symbol>_rt_stats` export.
-KernelRtStats readRtStats(void (*Fn)(uint64_t *)) {
-  KernelRtStats Out;
-  if (!Fn)
-    return Out;
-  uint64_t S[1 + rt::KernelStats::kNumFields] = {0};
-  Fn(S);
-  // Header word: (abi version << 32) | field count. A kernel built against
-  // a different runtime is reported invalid instead of misread.
-  if ((S[0] >> 32) != rt::KernelStats::kAbiVersion ||
-      (S[0] & 0xffffffffu) != rt::KernelStats::kNumFields)
-    return Out;
-  Out.Valid = true;
-  Out.Invocations = S[1 + rt::KernelStats::FInvocations];
-  Out.ParallelFors = S[1 + rt::KernelStats::FParallelFors];
-  Out.ParallelIters = S[1 + rt::KernelStats::FParallelIters];
-  Out.GemmCalls = S[1 + rt::KernelStats::FGemmCalls];
-  Out.CurrentBytes = S[1 + rt::KernelStats::FCurrentBytes];
-  Out.PeakBytes = S[1 + rt::KernelStats::FPeakBytes];
-  Out.TotalAllocBytes = S[1 + rt::KernelStats::FTotalAllocBytes];
-  Out.AllocCount = S[1 + rt::KernelStats::FAllocCount];
-  return Out;
-}
-
 } // namespace
 
 struct Kernel::Impl {
@@ -135,19 +112,19 @@ struct Kernel::Impl {
   /// a decreasing or out-of-range indptr (analysis/ragged.h).
   RaggedInfo Ragged;
   void *Handle = nullptr;
-  void (*Entry)(void **) = nullptr;
-  /// Optional telemetry export emitted by codegen; reads the kernel .so's
-  /// private rt::KernelStats (invocations, parallelFor regions/iterations,
-  /// gemm calls, memory accounting) behind a version/field-count header.
-  void (*RtStats)(uint64_t *) = nullptr;
-  /// Optional thread-budget setter: caps the kernel's private ThreadPool
-  /// (rt::setPoolCap) so concurrent kernels cannot oversubscribe the host.
-  void (*RtSetThreads)(int) = nullptr;
-  /// Profile-mode export: fills the per-statement counter table; called
-  /// with (nullptr, 0) it returns the buffer size in words.
-  uint64_t (*RtProfile)(uint64_t *, uint64_t) = nullptr;
+  void (*Entry)(void **, ft_rt_ctx *) = nullptr;
+  /// Counters of every call of this kernel, written by the host runtime
+  /// and by the kernel through ft_rt_ctx::stats.
+  ft_rt_counters Stats{};
+  /// Host-side thread cap of every call (setMaxThreads).
+  std::atomic<int> MaxThreads{1 << 30};
   bool Profiled = false;
   profile::SourceMap Map;
+  /// Profiled kernels: the statement id of each slot, and each slot summed
+  /// over the finished calls.
+  std::vector<int64_t> SlotIds;
+  std::mutex ProfMu;
+  std::vector<rt::ProfileEntry> ProfTotals; ///< Guarded by ProfMu.
   std::string SpanName; ///< "rt/kernel/<symbol>", precomputed.
   /// True when the kernel was compiled with __restrict__ parameters (some
   /// loop proven for explicit SIMD): run() must reject aliasing arguments,
@@ -157,38 +134,61 @@ struct Kernel::Impl {
   /// share a pointer when neither is written.
   std::set<std::string> WrittenParams;
 
-  profile::KernelProfile pullProfile() const {
+  KernelRtStats stats() const {
+    auto Load = [](const uint64_t &V) {
+      return __atomic_load_n(&V, __ATOMIC_RELAXED);
+    };
+    KernelRtStats Out;
+    Out.Valid = true;
+    Out.Invocations = Load(Stats.invocations);
+    Out.ParallelFors = Load(Stats.parallel_fors);
+    Out.ParallelIters = Load(Stats.parallel_iters);
+    Out.GemmCalls = Load(Stats.gemm_calls);
+    Out.CurrentBytes = Load(Stats.current_bytes);
+    Out.PeakBytes = Load(Stats.peak_bytes);
+    Out.TotalAllocBytes = Load(Stats.total_alloc_bytes);
+    Out.AllocCount = Load(Stats.alloc_count);
+    return Out;
+  }
+
+  /// Adds one call's per-thread slot arrays into ProfTotals.
+  void mergeProfile(const std::vector<rt::ProfileEntry> &Call) {
+    std::lock_guard<std::mutex> Lock(ProfMu);
+    for (size_t I = 0; I < Call.size(); ++I) {
+      rt::ProfileEntry &T = ProfTotals[I % ProfTotals.size()];
+      T.Calls += Call[I].Calls;
+      T.Iters += Call[I].Iters;
+      T.Ns += Call[I].Ns;
+      T.TimedCalls += Call[I].TimedCalls;
+      T.TimedIters += Call[I].TimedIters;
+    }
+  }
+
+  profile::KernelProfile pullProfile() {
     profile::KernelProfile P;
     P.Symbol = Symbol;
     P.Map = Map;
-    if (RtProfile) {
-      uint64_t Need = RtProfile(nullptr, 0);
-      std::vector<uint64_t> Buf(Need, 0);
-      if (RtProfile(Buf.data(), Need) == Need && Need >= 2 &&
-          (Buf[0] >> 32) == rt::kProfileAbiVersion &&
-          (Buf[0] & 0xffffffffu) == rt::kProfileFieldsPerSlot) {
-        uint64_t N = Buf[1];
-        for (uint64_t S = 0; S < N; ++S) {
-          const uint64_t *R = Buf.data() + 2 + S * rt::kProfileFieldsPerSlot;
-          profile::LoopSample L;
-          L.StmtId = static_cast<int64_t>(R[0]);
-          L.Calls = R[1];
-          L.Iters = R[2];
-          L.Ns = R[3];
-          L.TimedCalls = R[4];
-          L.TimedIters = R[5];
-          P.Samples.push_back(L);
-        }
+    if (Profiled) {
+      const double NsPerTick = rt::profNsPerTick();
+      std::lock_guard<std::mutex> Lock(ProfMu);
+      for (size_t S = 0; S < SlotIds.size(); ++S) {
+        const rt::ProfileEntry &E = ProfTotals[S];
+        profile::LoopSample L;
+        L.StmtId = SlotIds[S];
+        L.Calls = E.Calls;
+        L.Iters = E.Iters;
+        L.Ns = static_cast<uint64_t>(double(E.Ns) * NsPerTick);
+        L.TimedCalls = E.TimedCalls;
+        L.TimedIters = E.TimedIters;
+        P.Samples.push_back(L);
       }
     }
-    KernelRtStats St = readRtStats(RtStats);
-    if (St.Valid) {
-      P.Invocations = St.Invocations;
-      P.CurrentBytes = St.CurrentBytes;
-      P.PeakBytes = St.PeakBytes;
-      P.TotalAllocBytes = St.TotalAllocBytes;
-      P.AllocCount = St.AllocCount;
-    }
+    KernelRtStats St = stats();
+    P.Invocations = St.Invocations;
+    P.CurrentBytes = St.CurrentBytes;
+    P.PeakBytes = St.PeakBytes;
+    P.TotalAllocBytes = St.TotalAllocBytes;
+    P.AllocCount = St.AllocCount;
     profile::RequestAttribution A = profile::requestAttribution(Symbol);
     P.AttributedRuns = A.AttributedRuns;
     P.RecentRequestIds = std::move(A.RecentRequestIds);
@@ -196,14 +196,10 @@ struct Kernel::Impl {
   }
 
   ~Impl() {
-    // The accumulated profile outlives the kernel library: recorded into
-    // the host-side registry (FT_PROFILE sink, snapshotJson) before the
-    // .so — and its private counters — are unloaded.
-    if (Profiled && Handle && RtProfile) {
-      profile::KernelProfile P = pullProfile();
-      if (P.Invocations > 0 || !P.Samples.empty())
-        profile::record(std::move(P));
-    }
+    // The accumulated profile is recorded into the host-side registry
+    // (FT_PROFILE sink, snapshotJson) when the last handle goes away.
+    if (Profiled && Handle)
+      profile::record(pullProfile());
     if (Handle)
       dlclose(Handle);
   }
@@ -214,9 +210,8 @@ struct Kernel::Impl {
   static Result<std::shared_ptr<Impl>> makeSkeleton(const Func &F,
                                                     const CodegenOptions &Opts);
 
-  /// dlopens \p LibPath and resolves the entry plus the telemetry exports.
-  /// With \p NeedProfileExport the `<symbol>_rt_profile` export is required.
-  Status loadLibrary(const std::string &LibPath, bool NeedProfileExport);
+  /// dlopens \p LibPath and resolves the entry point.
+  Status loadLibrary(const std::string &LibPath);
 };
 
 Result<std::shared_ptr<Kernel::Impl>>
@@ -224,8 +219,11 @@ Kernel::Impl::makeSkeleton(const Func &F, const CodegenOptions &Opts) {
   auto I = std::make_shared<Impl>();
   I->Symbol = kernelSymbol(F);
   I->Profiled = Opts.Profile;
-  if (Opts.Profile)
+  if (Opts.Profile) {
     I->Map = profile::buildSourceMap(F, trace::auditLog());
+    I->SlotIds = profileSlotIds(F);
+    I->ProfTotals.resize(I->SlotIds.size());
+  }
   I->Params = F.Params;
   I->RequiresDistinctParams = hasExplicitSimdLoop(F.Body);
   I->Extents = extentParamsOf(F);
@@ -244,27 +242,14 @@ Kernel::Impl::makeSkeleton(const Func &F, const CodegenOptions &Opts) {
   return I;
 }
 
-Status Kernel::Impl::loadLibrary(const std::string &LibPath,
-                                 bool NeedProfileExport) {
+Status Kernel::Impl::loadLibrary(const std::string &LibPath) {
   Handle = dlopen(LibPath.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!Handle)
     return Status::error(std::string("dlopen failed: ") + dlerror());
-  Entry = reinterpret_cast<void (*)(void **)>(dlsym(Handle, Symbol.c_str()));
+  Entry = reinterpret_cast<void (*)(void **, ft_rt_ctx *)>(
+      dlsym(Handle, Symbol.c_str()));
   if (!Entry)
     return Status::error("kernel symbol not found: " + Symbol);
-  // Optional: kernels generated before the telemetry export existed (or
-  // hand-written ones) simply lack the symbol.
-  RtStats = reinterpret_cast<void (*)(uint64_t *)>(
-      dlsym(Handle, (Symbol + "_rt_stats").c_str()));
-  RtSetThreads = reinterpret_cast<void (*)(int)>(
-      dlsym(Handle, (Symbol + "_rt_set_threads").c_str()));
-  if (NeedProfileExport) {
-    RtProfile = reinterpret_cast<uint64_t (*)(uint64_t *, uint64_t)>(
-        dlsym(Handle, (Symbol + "_rt_profile").c_str()));
-    if (!RtProfile)
-      return Status::error("profile export not found: " + Symbol +
-                           "_rt_profile");
-  }
   return Status::success();
 }
 
@@ -322,7 +307,7 @@ std::optional<Kernel> Kernel::tryCached(const Func &F,
   if (!So.empty()) {
     if (auto SkelR = Impl::makeSkeleton(F, Opts); SkelR.ok()) {
       std::shared_ptr<Impl> I = *SkelR;
-      if (Status L = I->loadLibrary(So, Opts.Profile); L.ok()) {
+      if (Status L = I->loadLibrary(So); L.ok()) {
         I->Source = kernel_cache::storedSource(Cfg, CK);
         metrics::counter("codegen/jit_cache_hit_disk").fetch_add(1);
         Sp.annotate("hit", "disk");
@@ -387,7 +372,7 @@ Result<Kernel> Kernel::compile(const Func &F, const CodegenOptions &Opts,
         if (!SkelR.ok())
           return Result<Kernel>::error(SkelR.message());
         std::shared_ptr<Impl> I = *SkelR;
-        if (Status L = I->loadLibrary(So, Opts.Profile); L.ok()) {
+        if (Status L = I->loadLibrary(So); L.ok()) {
           I->Source = kernel_cache::storedSource(Cfg, CK);
           HitDisk.fetch_add(1);
           LSp.annotate("hit", "disk");
@@ -429,22 +414,13 @@ Result<Kernel> Kernel::compile(const Func &F, const CodegenOptions &Opts,
     Out << I->Source;
   }
 
-  // -fno-gnu-unique is load-bearing: without it, the function-local
-  // statics of the header-only runtime (KernelStats, ProfileTable,
-  // ThreadPool singletons) are emitted as STB_GNU_UNIQUE symbols, which
-  // the dynamic linker resolves process-wide even under RTLD_LOCAL and
-  // which pin the .so against dlclose. Every kernel would then share the
-  // first-loaded kernel's runtime state — cross-kernel stats pollution,
-  // and a heap overflow when a later kernel indexes the first kernel's
-  // (smaller) profiler slot arrays.
   // -fopenmp-simd honors `#pragma omp simd` (and its reduction/aligned
   // clauses) without linking the OpenMP runtime — no new dependency.
   std::string Cmd = "g++ -std=c++20 " + OptFlags +
-                    " -march=native -fopenmp-simd -fPIC -fno-gnu-unique "
-                    "-shared -I " +
+                    " -march=native -fopenmp-simd -fPIC -shared -I " +
                     shellQuote(FT_RUNTIME_INCLUDE_DIR) + " " +
-                    shellQuote(Src) + " -o " + shellQuote(Lib) +
-                    " -pthread > " + shellQuote(Log) + " 2>&1";
+                    shellQuote(Src) + " -o " + shellQuote(Lib) + " > " +
+                    shellQuote(Log) + " 2>&1";
   auto TCc = std::chrono::steady_clock::now();
   int Rc = std::system(Cmd.c_str());
   double CcSec = secondsSince(TCc);
@@ -458,7 +434,7 @@ Result<Kernel> Kernel::compile(const Func &F, const CodegenOptions &Opts,
         readFile(Log));
   }
 
-  if (Status L = I->loadLibrary(Lib, Opts.Profile); !L.ok())
+  if (Status L = I->loadLibrary(Lib); !L.ok())
     return Result<Kernel>::error(L.message());
 
   if (Cfg.Enabled)
@@ -546,29 +522,40 @@ Status Kernel::run(const std::map<std::string, Buffer *> &Args,
     if (I->Profiled)
       profile::noteRequest(I->Symbol, RequestId);
   }
-  I->Entry(Ptrs.data());
+  // The context lives on this stack: a non-profiled call allocates nothing.
+  ft_rt_ctx Ctx{};
+  Ctx.api = &rt::hostApi();
+  Ctx.stats = &I->Stats;
+  Ctx.max_threads = I->MaxThreads.load(std::memory_order_relaxed);
+  Ctx.seq = __atomic_add_fetch(&I->Stats.invocations, 1, __ATOMIC_RELAXED);
+  std::vector<rt::ProfileEntry> Prof;
+  if (I->Profiled) {
+    Prof.resize(size_t(rt::processPool().numThreads()) * I->SlotIds.size());
+    Ctx.prof = Prof.data();
+    Ctx.prof_slots = static_cast<uint32_t>(I->SlotIds.size());
+  }
+  I->Entry(Ptrs.data(), &Ctx);
+  if (I->Profiled)
+    I->mergeProfile(Prof);
   metrics::counter("rt/kernel_invocations").fetch_add(1);
   if (Sp.active()) {
-    // Cumulative counts from the kernel .so's private KernelStats copy.
-    KernelRtStats S = readRtStats(I->RtStats);
-    if (S.Valid) {
-      Sp.annotate("invocations", S.Invocations);
-      Sp.annotate("parallel_fors", S.ParallelFors);
-      Sp.annotate("parallel_iters", S.ParallelIters);
-      Sp.annotate("gemm_calls", S.GemmCalls);
-      if (I->Profiled) {
-        Sp.annotate("peak_bytes", S.PeakBytes);
-        Sp.annotate("total_alloc_bytes", S.TotalAllocBytes);
-      }
+    KernelRtStats S = I->stats();
+    Sp.annotate("invocations", S.Invocations);
+    Sp.annotate("parallel_fors", S.ParallelFors);
+    Sp.annotate("parallel_iters", S.ParallelIters);
+    Sp.annotate("gemm_calls", S.GemmCalls);
+    if (I->Profiled) {
+      Sp.annotate("peak_bytes", S.PeakBytes);
+      Sp.annotate("total_alloc_bytes", S.TotalAllocBytes);
     }
   }
   return Status::success();
 }
 
 bool Kernel::setMaxThreads(int N) const {
-  if (!I || !I->RtSetThreads)
+  if (!I)
     return false;
-  I->RtSetThreads(N < 1 ? 1 : N);
+  I->MaxThreads.store(N < 1 ? 1 : N, std::memory_order_relaxed);
   return true;
 }
 
@@ -582,7 +569,7 @@ const std::string &Kernel::source() const {
 }
 
 KernelRtStats Kernel::rtStats() const {
-  return I ? readRtStats(I->RtStats) : KernelRtStats{};
+  return I ? I->stats() : KernelRtStats{};
 }
 
 bool Kernel::profiled() const { return I && I->Profiled; }

@@ -29,10 +29,8 @@
 
 namespace ft {
 
-/// The kernel-side KernelStats counters as read back through the versioned
-/// `<symbol>_rt_stats` export (see rt::KernelStats::Field). Valid is false
-/// when the kernel lacks the export or was built against a different ABI
-/// version.
+/// A kernel's runtime counters, summed over all its calls (ft_rt_counters in
+/// codegen/rt/ft_prelude.h). Valid is false for an empty Kernel handle.
 struct KernelRtStats {
   bool Valid = false;
   uint64_t Invocations = 0;
@@ -82,7 +80,8 @@ public:
                                          const CodegenOptions &Opts = {},
                                          const std::string &OptFlags = "-O3");
 
-  /// Runs the kernel binding each parameter by name.
+  /// Runs the kernel binding each parameter by name. Kernels are
+  /// re-entrant: any number of threads may run one handle at once.
   Status run(const std::map<std::string, Buffer *> &Args) const;
 
   /// Runs the kernel on behalf of serving request \p RequestId
@@ -93,12 +92,10 @@ public:
   Status run(const std::map<std::string, Buffer *> &Args,
              uint64_t RequestId) const;
 
-  /// Caps this kernel's runtime thread pool at \p N workers (>= 1) via the
-  /// `<symbol>_rt_set_threads` export. Call before the first run to also
-  /// bound thread creation, not just thread use. The serving executor caps
-  /// every kernel it loads so K concurrent kernels cannot oversubscribe
-  /// the machine K-fold. No-op (returns false) for kernels predating the
-  /// export.
+  /// Caps every later run of this kernel at \p N threads (>= 1) of the
+  /// process-wide pool. The serving executor caps every kernel it loads so
+  /// K concurrent kernels share the machine instead of each claiming all
+  /// of it. Returns false for an empty handle.
   bool setMaxThreads(int N) const;
 
   /// Wall-clock seconds spent acquiring this kernel: host-compiler time on
@@ -121,8 +118,8 @@ public:
   /// The statement-level source map (empty unless profiled).
   const profile::SourceMap &sourceMap() const;
 
-  /// Pulls the current per-statement counters from the kernel and joins
-  /// them with the source map. Counters are cumulative over all runs.
+  /// The per-statement counters summed over all finished runs, joined
+  /// with the source map.
   /// Returns an empty profile (no samples) unless profiled().
   profile::KernelProfile profileNow() const;
 

@@ -197,10 +197,10 @@ uint64_t ft::kernel_cache::compilerId() {
       ::pclose(P);
       H = combine(H, hashStr(Out));
     }
-    // The runtime header is compiled into every kernel; changing it changes
-    // the binary's behavior even for identical IR.
+    // The prelude is compiled into every kernel; changing it changes the
+    // binary's behavior even for identical IR.
     H = combine(H, hashStr(readWholeFile(std::string(FT_RUNTIME_INCLUDE_DIR) +
-                                         "/ft_runtime.h")));
+                                         "/ft_prelude.h")));
     return static_cast<uint64_t>(H);
   }();
   return Id;

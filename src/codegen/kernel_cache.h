@@ -24,7 +24,7 @@
 /// by statement ID inside the generated code — so profiled and plain
 /// kernels can never share an entry, and a profiled entry only hits when
 /// the IDs line up exactly), the OptFlags string, the host compiler
-/// identity (`cc --version` plus the runtime header bytes, probed once),
+/// identity (`cc --version` plus the kernel prelude bytes, probed once),
 /// and kSchemaVersion.
 ///
 /// FT_CACHE=0 disables both tiers. Configuration is re-read from the
@@ -46,12 +46,14 @@ namespace ft::kernel_cache {
 /// the emitted code changes (e.g. a codegen bugfix that alters semantics
 /// without changing the IR): stale entries from older schemas then simply
 /// never hit.
-/// v2: kernels gained the `<symbol>_rt_set_threads` thread-budget export.
+/// v2: kernels gained a per-kernel thread-budget export (gone since v4).
 /// v3: compilerId() additionally hashes the -march=native target state, so
 ///     a `.so` compiled on one micro-architecture can never hit on another
 ///     node sharing the cache directory (the old key let an AVX-512 binary
 ///     migrate to a machine without those units — SIGILL at best).
-inline constexpr uint64_t kSchemaVersion = 3;
+/// v4: kernels take a per-call ft_rt_ctx and include only ft_prelude.h; an
+///     older `.so` has the one-argument entry and must never load.
+inline constexpr uint64_t kSchemaVersion = 4;
 
 /// Cache configuration as read from the environment.
 struct Config {
@@ -64,10 +66,9 @@ struct Config {
 Config config();
 
 /// Hash of `cc --version` output, the resolved `-march=native` target
-/// flags, and the JIT runtime header bytes, probed once per process. A
-/// compiler upgrade, a different host micro-architecture, or a
-/// runtime-header change moves every key, invalidating the store without
-/// touching it.
+/// flags, and the kernel prelude bytes, probed once per process. A
+/// compiler upgrade, a different host micro-architecture, or a prelude
+/// change moves every key, invalidating the store without touching it.
 uint64_t compilerId();
 
 /// A derived cache key.

@@ -3,8 +3,8 @@
 /// \file
 /// Host side of the statement-level kernel profiler (DESIGN.md §10). The
 /// generated kernel counts calls/iterations/time per For and GemmCall in
-/// per-thread slots (see CodegenOptions::Profile and rt::ProfileTable);
-/// this layer turns the raw counters the JIT pulls back into something a
+/// per-thread slots (see CodegenOptions::Profile) that Kernel::run sums up
+/// after every call; this layer turns those counters into something a
 /// human can act on:
 ///
 ///  - SourceMap: stmt-Id -> {frontend label, extent, nesting path, and the
@@ -39,8 +39,8 @@
 
 namespace ft::profile {
 
-/// Merged runtime counters for one instrumented statement, as pulled back
-/// through the `<symbol>_rt_profile` export. Calls and Iters are exact;
+/// Merged runtime counters for one instrumented statement, summed over a
+/// kernel's calls and threads. Calls and Iters are exact;
 /// Ns covers only the timed entries (leaf loops sample 1-in-64 calls), so
 /// estimates extrapolate through TimedCalls/TimedIters.
 struct LoopSample {
@@ -103,8 +103,8 @@ SourceMap buildSourceMap(const Func &F,
                          const std::vector<trace::ScheduleDecision> &Audit);
 
 /// One kernel's complete profile: source map, merged samples, and the
-/// memory accounting pulled from the widened rt_stats export. Counters are
-/// cumulative over every run of the kernel.
+/// memory accounting of its runtime counters. Counters are cumulative over
+/// every run of the kernel.
 struct KernelProfile {
   std::string Symbol;
   SourceMap Map;

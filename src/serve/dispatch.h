@@ -10,10 +10,8 @@
 ///
 /// Exactly one submitter wins the Cold→Compiling transition per fingerprint
 /// (beginCompile), so N concurrent cache misses enqueue one compile job.
-/// Entries also carry RunMu, which serializes executions of the same
-/// kernel: generated kernels keep non-atomic per-chunk profile slots and a
-/// private thread pool, so two simultaneous runs of one kernel would race.
-/// Different fingerprints run fully in parallel.
+/// Kernels are re-entrant, so requests of one fingerprint run on every
+/// worker at once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,9 +38,7 @@ enum class KernelState : uint8_t { Cold, Compiling, Ready, Failed };
 /// Returns "cold" / "compiling" / "ready" / "failed".
 const char *nameOf(KernelState S);
 
-/// One fingerprint's entry. State fields are guarded by Mu; RunMu is held
-/// while (and only while) the kernel or the interpreter executes requests
-/// of this fingerprint.
+/// One fingerprint's entry. State fields are guarded by Mu.
 struct KernelEntry {
   /// The full cache key (kernel_cache::Key::Full) identifying this entry.
   const uint64_t Key;
@@ -108,9 +104,6 @@ struct KernelEntry {
 
   /// The compile failure message (empty unless Failed).
   std::string failure() const;
-
-  /// Serializes execution of this fingerprint (see the file comment).
-  std::mutex RunMu;
 
   /// One shape bucket of a generic entry: request tally plus the
   /// specialized entry once the bucket is nominated (null before). The

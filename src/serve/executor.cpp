@@ -6,8 +6,8 @@
 ///   - Submitters (any thread) intern the fingerprint, win-or-lose the
 ///     single compile trigger, and push a Request onto the bounded queue.
 ///   - `Config::Threads` workers pop requests, gather a same-fingerprint
-///     micro-batch, and execute it under the entry's RunMu on whichever
-///     tier the entry currently offers.
+///     micro-batch, and execute it on whichever tier the entry currently
+///     offers.
 ///   - One compile thread drains the compile queue; each job runs the host
 ///     compiler once and flips its entry to Ready or Failed.
 ///
@@ -213,10 +213,8 @@ struct Executor::Impl {
   std::mutex ShutdownMu;
   bool Joined = false;
 
-  /// Per-kernel worker-thread cap so `Threads` concurrently executing
-  /// kernels stay within the host budget (satellite #2 of the PR: without
-  /// the cap, K kernels each sized to hardware_concurrency oversubscribe
-  /// the machine K-fold).
+  /// Per-kernel thread cap so `Threads` concurrently executing kernels
+  /// share the host budget instead of each claiming the whole pool.
   void capThreads(const Kernel &K) const {
     int Budget = C.RtThreadBudget > 0
                      ? C.RtThreadBudget
@@ -404,10 +402,6 @@ struct Executor::Impl {
 
   void executeBatch(std::vector<Request> &Batch) {
     std::shared_ptr<KernelEntry> E = Batch.front().E;
-    // Serialize same-fingerprint execution: one kernel's runtime (profile
-    // slots, private thread pool) is not reentrant. Distinct fingerprints
-    // proceed in parallel on other workers.
-    std::lock_guard<std::mutex> RunLock(E->RunMu);
     std::optional<Kernel> K = E->kernel();
 
     Stats.Batches.fetch_add(1);

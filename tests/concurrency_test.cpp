@@ -11,10 +11,16 @@
 //     with its bound intact and every handle it returns still runnable;
 //   - N threads compiling the same program concurrently all succeed and
 //     agree bit-for-bit (first-writer-wins insert, shared handles);
-//   - two kernels with private thread pools executing concurrently under
+//   - two kernels executing concurrently on the process-wide pool under
 //     Kernel::setMaxThreads caps still produce exact profile counts and
-//     correct outputs — the oversubscription fix must not break the
-//     per-chunk (non-atomic, worker-indexed) profile slots.
+//     correct outputs;
+//   - kernels are re-entrant: one kernel, plain and profiled, run from 8
+//     threads at once with no lock gives the interpreter's outputs and
+//     exact counters;
+//   - parallel loops nested in parallel loops run to completion and match
+//     the interpreter.
+//
+// tests/CMakeLists.txt runs this binary with FT_NUM_THREADS=4.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +38,7 @@
 #include "codegen/kernel_cache.h"
 #include "codegen/profile.h"
 #include "frontend/builder.h"
+#include "interp/interp.h"
 #include "schedule/schedule.h"
 #include "support/metrics.h"
 
@@ -227,10 +234,8 @@ TEST_F(ConcurrencyTest, ConcurrentCompilesOfSameProgramAgree) {
 //===--------------------------------------------------------------------===//
 
 TEST_F(ConcurrencyTest, TwoCappedProfiledKernelsKeepExactCounts) {
-  // Each kernel's pool would size itself to 4 from the environment; the
-  // host caps each at 2 so the pair stays within a 4-thread budget.
-  setenv("FT_NUM_THREADS", "4", 1);
-
+  // The pool has 4 threads; the host caps each kernel at 2 so the pair
+  // stays within a 4-thread budget.
   const int64_t N = 4096;
   struct Ctx {
     Func F;
@@ -262,7 +267,6 @@ TEST_F(ConcurrencyTest, TwoCappedProfiledKernelsKeepExactCounts) {
     EXPECT_TRUE(K->setMaxThreads(2));
     Cs[Idx].K = *K;
   }
-  unsetenv("FT_NUM_THREADS");
 
   const uint64_t Runs = 20;
   std::vector<std::thread> Ts;
@@ -299,7 +303,6 @@ TEST_F(ConcurrencyTest, TwoCappedProfiledKernelsKeepExactCounts) {
 }
 
 TEST_F(ConcurrencyTest, SetMaxThreadsToOneStillComputesCorrectly) {
-  setenv("FT_NUM_THREADS", "4", 1);
   Func F = makeAxpy(2.0);
   Schedule S(F);
   // makeAxpy's single loop is the only one; find and parallelize it.
@@ -320,13 +323,147 @@ TEST_F(ConcurrencyTest, SetMaxThreadsToOneStillComputesCorrectly) {
   ASSERT_TRUE(S.parallelize(LoopId).ok());
 
   auto K = Kernel::compile(S.func(), CodegenOptions{}, "-O1");
-  unsetenv("FT_NUM_THREADS");
   ASSERT_TRUE(K.ok()) << K.message();
   ASSERT_TRUE(K->setMaxThreads(1)); // degenerate cap: serial execution
 
   std::vector<float> Got = runOnce(*K, F);
   for (int64_t I = 0; I < 256; ++I)
     EXPECT_NEAR(Got[size_t(I)], std::sin(0.37 * double(I)) * 2.0 + 1.0, 1e-5);
+}
+
+//===--------------------------------------------------------------------===//
+// Re-entrant kernels and nested parallel loops on the process-wide pool.
+//===--------------------------------------------------------------------===//
+
+namespace {
+
+constexpr int64_t kRows = 64, kCols = 48;
+
+/// y[i, j] = a[i, j] * 3 + i - j over a kRows x kCols nest; \p Outer and
+/// \p Inner receive the loop ids.
+Func makeNest(const std::string &Name, int64_t &Outer, int64_t &Inner) {
+  FunctionBuilder B(Name);
+  View A = B.input("a", {makeIntConst(kRows), makeIntConst(kCols)});
+  View Y = B.output("y", {makeIntConst(kRows), makeIntConst(kCols)});
+  Outer = B.loop(
+      "i", 0, kRows,
+      [&](Expr I) {
+        Inner = B.loop(
+            "j", 0, kCols,
+            [&](Expr J) {
+              Y[I][J].assign(A[I][J].load() * makeFloatConst(3.0) +
+                             makeCast(DataType::Float32, I - J));
+            },
+            "cols");
+      },
+      "rows");
+  return B.build();
+}
+
+/// Runs \p K (or, when null, the interpreter) on inputs drawn from
+/// \p Phase and returns y.
+std::vector<float> runNest(const Kernel *K, const Func &F, double Phase) {
+  Buffer A(DataType::Float32, {kRows, kCols}), Y(DataType::Float32,
+                                                 {kRows, kCols});
+  for (int64_t I = 0; I < A.numel(); ++I)
+    A.setF(I, std::sin(Phase * double(I + 1)));
+  std::map<std::string, Buffer *> Args = {{"a", &A}, {"y", &Y}};
+  if (K) {
+    Status S = K->run(Args);
+    EXPECT_TRUE(S.ok()) << S.message();
+  } else {
+    interpret(F, Args);
+  }
+  return std::vector<float>(Y.as<float>(), Y.as<float>() + Y.numel());
+}
+
+/// The interpreter computes in double, the kernel in float.
+bool closeTo(const std::vector<float> &Got, const std::vector<float> &Want) {
+  for (size_t I = 0; I < Want.size(); ++I)
+    if (std::fabs(Got[I] - Want[I]) > 1e-4f * (1 + std::fabs(Want[I])))
+      return false;
+  return Got.size() == Want.size();
+}
+
+} // namespace
+
+TEST_F(ConcurrencyTest, NestedParallelLoopsMatchInterpreter) {
+  // parallelize accepts a loop nested in a parallel loop; the inner
+  // regions then start while every pool thread is busy with an outer
+  // chunk, which used to deadlock at 4 threads.
+  int64_t Outer = -1, Inner = -1;
+  Func F = makeNest("nestpar", Outer, Inner);
+  Schedule S(F);
+  ASSERT_TRUE(S.parallelize(Outer).ok());
+  ASSERT_TRUE(S.parallelize(Inner).ok());
+  const std::vector<float> Want = runNest(nullptr, S.func(), 0.7);
+
+  for (bool Profiled : {false, true}) {
+    CodegenOptions Opts;
+    Opts.Profile = Profiled;
+    auto K = Kernel::compile(S.func(), Opts, "-O1");
+    ASSERT_TRUE(K.ok()) << K.message();
+    constexpr uint64_t Runs = 20;
+    for (uint64_t R = 0; R < Runs; ++R)
+      ASSERT_TRUE(closeTo(runNest(&*K, S.func(), 0.7), Want)) << "run " << R;
+    KernelRtStats St = K->rtStats();
+    EXPECT_EQ(St.ParallelFors, Runs * (1 + kRows));
+    EXPECT_EQ(St.ParallelIters, Runs * (kRows + kRows * kCols));
+    if (Profiled) {
+      profile::KernelProfile P = K->profileNow();
+      ASSERT_NE(P.sample(Inner), nullptr);
+      EXPECT_EQ(P.sample(Outer)->Iters, Runs * kRows);
+      EXPECT_EQ(P.sample(Inner)->Calls, Runs * kRows);
+      EXPECT_EQ(P.sample(Inner)->Iters, Runs * kRows * kCols);
+    }
+  }
+}
+
+TEST_F(ConcurrencyTest, OneKernelRunsFromEightThreadsAtOnce) {
+  // No lock around Kernel::run: every call gets its own context, and the
+  // shared counters are exact.
+  int64_t Outer = -1, Inner = -1;
+  Func F = makeNest("reentrant", Outer, Inner);
+  Schedule S(F);
+  ASSERT_TRUE(S.parallelize(Outer).ok());
+  constexpr int kThreads = 8;
+  constexpr uint64_t Runs = 25;
+  std::vector<std::vector<float>> Want;
+  for (int T = 0; T < kThreads; ++T)
+    Want.push_back(runNest(nullptr, S.func(), 0.1 * (T + 1)));
+
+  for (bool Profiled : {false, true}) {
+    CodegenOptions Opts;
+    Opts.Profile = Profiled;
+    auto K = Kernel::compile(S.func(), Opts, "-O1");
+    ASSERT_TRUE(K.ok()) << K.message();
+    std::atomic<int> Mismatches{0};
+    std::vector<std::thread> Ts;
+    for (int T = 0; T < kThreads; ++T)
+      Ts.emplace_back([&, T] {
+        for (uint64_t R = 0; R < Runs; ++R)
+          if (!closeTo(runNest(&*K, S.func(), 0.1 * (T + 1)), Want[T]))
+            ++Mismatches;
+      });
+    for (std::thread &T : Ts)
+      T.join();
+    EXPECT_EQ(Mismatches.load(), 0) << "profiled=" << Profiled;
+
+    const uint64_t Calls = kThreads * Runs;
+    KernelRtStats St = K->rtStats();
+    EXPECT_EQ(St.Invocations, Calls);
+    EXPECT_EQ(St.ParallelFors, Calls);
+    EXPECT_EQ(St.ParallelIters, Calls * kRows);
+    if (Profiled) {
+      profile::KernelProfile P = K->profileNow();
+      ASSERT_NE(P.sample(Inner), nullptr);
+      EXPECT_EQ(P.sample(-1)->Calls, Calls);
+      EXPECT_EQ(P.sample(Outer)->Calls, Calls);
+      EXPECT_EQ(P.sample(Outer)->Iters, Calls * kRows);
+      EXPECT_EQ(P.sample(Inner)->Calls, Calls * kRows);
+      EXPECT_EQ(P.sample(Inner)->Iters, Calls * kRows * kCols);
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,6 +14,8 @@
 //     (degraded, not broken) and is counted;
 //   - micro-batched execution produces the same outputs as the reference
 //     interpreter (differential check);
+//   - requests of one fingerprint run on both workers at once and are
+//     answered correctly;
 //   - a bad argument binding fails that one request, not the executor.
 //
 // All tests run against a fresh private kernel-cache directory so background
@@ -26,6 +28,7 @@
 #include <future>
 #include <gtest/gtest.h>
 #include <set>
+#include <thread>
 #include <unistd.h>
 
 #include "codegen/jit.h"
@@ -35,6 +38,7 @@
 #include "serve/serve.h"
 #include "serve/telemetry.h"
 #include "support/metrics.h"
+#include "support/trace.h"
 
 using namespace ft;
 using namespace ft::serve;
@@ -386,6 +390,67 @@ TEST_F(ServeTest, MicroBatchingMatchesReferenceOutputs) {
   }
 }
 
+TEST_F(ServeTest, SameFingerprintRunsOnBothWorkersAtOnce) {
+  // y[i] = sum over 64 sweeps of x: a few ms per request, so the two
+  // workers' runs of the one kernel overlap.
+  FunctionBuilder B("sweeps");
+  View X = B.input("x", {makeIntConst(kN)});
+  View Y = B.output("y", {makeIntConst(kN)});
+  B.loop("i", 0, kN, [&](Expr I) {
+    Y[I].assign(0.0);
+    B.loop("r", 0, 64, [&](Expr) {
+      B.loop("j", 0, kN, [&](Expr J) { Y[I] += X[J].load(); });
+    });
+  });
+  Func F = B.build();
+  Config C;
+  C.Threads = 2;
+  C.MaxBatch = 1;
+  C.BlockOnFull = true;
+  // Warm the kernel cache: every request is JIT-tier.
+  ASSERT_TRUE(Kernel::compile(F, {}, C.OptFlags).ok());
+  Executor Ex(C);
+
+  trace::EnabledGuard Tracing(true, false);
+  trace::clear();
+  constexpr int kReqs = 24;
+  std::vector<Slot> Slots(kReqs);
+  for (int R = 0; R < kReqs; ++R) {
+    seed(Slots[R].X, 0.05 * double(R + 1));
+    auto Sub = Ex.submit(F, Slots[R].args(F));
+    ASSERT_TRUE(Sub.ok()) << Sub.message();
+    Slots[R].Fut = std::move(*Sub);
+  }
+  for (Slot &S : Slots) {
+    Response Resp = S.Fut.get();
+    ASSERT_TRUE(Resp.S.ok()) << Resp.S.message();
+    EXPECT_EQ(Resp.ServedBy, Tier::Jit);
+    for (int64_t I = 0; I < kN; ++I) {
+      float Want = 0;
+      for (int R = 0; R < 64; ++R)
+        for (int64_t J = 0; J < kN; ++J)
+          Want += S.X.as<float>()[J];
+      ASSERT_FLOAT_EQ(S.Y.as<float>()[I], Want) << "y[" << I << "]";
+    }
+  }
+
+  // Kernel spans on different workers overlapped in time.
+  std::vector<trace::SpanEvent> Runs;
+  for (const trace::SpanEvent &E : trace::snapshot().Spans)
+    if (E.Name.rfind("rt/kernel/", 0) == 0)
+      Runs.push_back(E);
+  ASSERT_EQ(Runs.size(), size_t(kReqs));
+  bool Overlap = false;
+  for (size_t A = 0; A < Runs.size(); ++A)
+    for (size_t B2 = 0; B2 < Runs.size(); ++B2)
+      Overlap |= Runs[A].Tid != Runs[B2].Tid &&
+                 Runs[A].StartUs < Runs[B2].StartUs &&
+                 Runs[B2].StartUs < Runs[A].StartUs + Runs[A].DurUs;
+  if (std::thread::hardware_concurrency() >= 2) {
+    EXPECT_TRUE(Overlap) << "no two runs of the kernel overlapped";
+  }
+}
+
 TEST_F(ServeTest, BadArgumentBindingFailsOnlyThatRequest) {
   Func F = makeAxpy(8.0);
   Executor Ex;
@@ -537,13 +602,17 @@ TEST_F(ServeTest, RejectedRequestsNeverPolluteLatencyHistograms) {
   ASSERT_GT(Rejected, 0u) << "overload did not saturate the queue";
 
   // Latency histograms hold exactly the accepted requests; the rejects
-  // show up only in the flight recorder's outcome tallies.
+  // show up only in the flight recorder's outcome tallies. The background
+  // compile may land while accepted requests still queue, so the run
+  // histograms of both tiers together hold them.
   metrics::HistogramSnapshot QH =
       metrics::histogram("serve/queue_wait_ns").snapshot();
-  metrics::HistogramSnapshot RH =
+  metrics::HistogramSnapshot RIH =
       metrics::histogram("serve/run_ns_interp").snapshot();
+  metrics::HistogramSnapshot RJH =
+      metrics::histogram("serve/run_ns_jit").snapshot();
   EXPECT_EQ(QH.Count, Accepted);
-  EXPECT_EQ(RH.Count, Accepted);
+  EXPECT_EQ(RIH.Count + RJH.Count, Accepted);
 
   FlightSummary FS = flightRecorder().summary();
   EXPECT_EQ(FS.RejectedFull, Rejected);

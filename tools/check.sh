@@ -46,6 +46,9 @@
 #    separate build tree, so memory and UB bugs in the analysis/schedule
 #    layers cannot hide behind passing functional tests. The trace test
 #    runs there too: the observability layer itself must be clean.
+# 12. The concurrent suites (kernel runtime pool, re-entrant kernels,
+#    serving executor, telemetry) rebuilt under ThreadSanitizer in
+#    build-tsan/ and run on a 4-thread kernel pool; any report fails.
 #
 # Usage: tools/check.sh [--skip-sanitize]
 # Also reachable as `cmake --build build --target check`.
@@ -494,5 +497,15 @@ ASAN_OPTIONS=detect_leaks=0 telemetry_smoke ./build-asan/tools/ftc
 
 echo "== correlation smoke under ASan =="
 ASAN_OPTIONS=detect_leaks=0 correlation_smoke ./build-asan/tools/ftc
+
+echo "== TSan: runtime, concurrency, serve and telemetry tests =="
+TsanTests="runtime_test concurrency_test serve_test telemetry_test"
+cmake -B build-tsan -S . -DCMAKE_CXX_FLAGS=-fsanitize=thread \
+  -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
+# shellcheck disable=SC2086
+cmake --build build-tsan -j --target $TsanTests
+for T in $TsanTests; do
+  FT_NUM_THREADS=4 TSAN_OPTIONS=halt_on_error=1 "./build-tsan/tests/$T"
+done
 
 echo "== check.sh: all green =="

@@ -1038,7 +1038,9 @@ int main(int argc, char **argv) {
     std::printf("\n=== scheduled IR ===\n%s\n", toString(Opt.Body).c_str());
 
   if (!O.EmitCpp.empty()) {
-    std::string Src = generateCpp(Opt);
+    CodegenOptions EmitOpts;
+    EmitOpts.Profile = O.Profile;
+    std::string Src = generateCpp(Opt, EmitOpts);
     if (O.EmitCpp == "-") {
       std::printf("\n=== generated C++ ===\n%s\n", Src.c_str());
     } else {
