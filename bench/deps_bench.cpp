@@ -4,7 +4,7 @@
 // (constraint canonicalization + interval/GCD pre-filter + memoized
 // emptiness + per-point domain caching + analyzer reuse): each benchmark
 // runs twice, once with the engine as shipped and once under
-// stats::BypassGuard, which reproduces the pre-acceleration behaviour.
+// ft::BypassGuard, which reproduces the pre-acceleration behaviour.
 // Counters report queries/sec and the emptiness-cache hit rate.
 //
 // Writes BENCH_deps.json (google-benchmark JSON reporter) unless the
@@ -19,7 +19,8 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "support/stats.h"
+#include "math/affine_set.h"
+#include "support/metrics.h"
 
 using namespace ftb;
 
@@ -49,25 +50,28 @@ std::vector<int64_t> allLoops(const Stmt &S) {
   return Out;
 }
 
+double deps(const char *Name) {
+  return double(ft::metrics::counter(std::string("deps/") + Name).load());
+}
+
 /// Attaches the per-iteration engine counters to the benchmark report.
-/// Each benchmark calls ft::stats::reset() at the top of every iteration,
-/// so at destruction time the counter block holds the delta of exactly one
-/// iteration — a meaningful per-iteration cost, not a cumulative total
-/// that scales with however many iterations the harness chose to run.
+/// Each benchmark resets the deps/ counters at the top of every iteration,
+/// so at destruction time they hold the delta of exactly one iteration — a
+/// meaningful per-iteration cost, not a cumulative total that scales with
+/// however many iterations the harness chose to run.
 struct StatsScope {
   explicit StatsScope(benchmark::State &State) : State(State) {
-    ft::stats::reset();
-    ft::stats::clearEmptinessCache();
+    ft::metrics::resetPrefix("deps/");
+    ft::clearEmptinessCache();
   }
   ~StatsScope() {
-    ft::stats::Counters &C = ft::stats::counters();
-    State.counters["dep_queries"] = double(C.DepQueries.load());
-    uint64_t Hits = C.EmptinessCacheHits.load();
-    uint64_t Misses = C.EmptinessCacheMisses.load();
+    State.counters["dep_queries"] = deps("dep_queries");
+    double Hits = deps("emptiness_cache_hits");
+    double Misses = deps("emptiness_cache_misses");
     State.counters["memo_hit_rate"] =
-        Hits + Misses ? double(Hits) / double(Hits + Misses) : 0.0;
-    State.counters["fm_eliminations"] = double(C.FmEliminations.load());
-    State.counters["analyzer_builds"] = double(C.AnalyzerBuilds.load());
+        Hits + Misses ? Hits / (Hits + Misses) : 0.0;
+    State.counters["fm_eliminations"] = deps("fm_eliminations");
+    State.counters["analyzer_builds"] = deps("analyzer_builds");
   }
   benchmark::State &State;
 };
@@ -78,12 +82,12 @@ struct StatsScope {
 /// generation. The process-wide emptiness memo additionally persists
 /// across generations (iterations), as it does across sessions.
 void DepsCarriedBySweep(benchmark::State &State) {
-  ft::stats::BypassGuard G(State.range(0) == 0);
+  ft::BypassGuard G(State.range(0) == 0);
   Func F = buildLongformer({128, 32, 16});
   constexpr int SweepsPerVersion = 8;
   StatsScope Scope(State);
   for (auto _ : State) {
-    ft::stats::reset();
+    ft::metrics::resetPrefix("deps/");
     DepAnalyzer DA(F.Body);
     int64_t Found = 0;
     for (int Round = 0; Round < SweepsPerVersion; ++Round)
@@ -102,11 +106,11 @@ BENCHMARK(DepsCarriedBySweep)
 /// dominated by legality checks, so it measures the engine end-to-end —
 /// analyzer reuse across probed primitives included.
 void DepsAutoTransform(benchmark::State &State) {
-  ft::stats::BypassGuard G(State.range(0) == 0);
+  ft::BypassGuard G(State.range(0) == 0);
   Func F = buildSubdivNet({1024, 32});
   StatsScope Scope(State);
   for (auto _ : State) {
-    ft::stats::reset();
+    ft::metrics::resetPrefix("deps/");
     Func Opt = autoScheduleFunc(F);
     benchmark::DoNotOptimize(Opt);
   }
@@ -121,11 +125,11 @@ BENCHMARK(DepsAutoTransform)
 /// auto-parallelize retry pattern: many primitives interrogate the same
 /// program snapshot through one Schedule.
 void DepsScheduleProbing(benchmark::State &State) {
-  ft::stats::BypassGuard G(State.range(0) == 0);
+  ft::BypassGuard G(State.range(0) == 0);
   Func F = buildLongformer({128, 32, 16});
   StatsScope Scope(State);
   for (auto _ : State) {
-    ft::stats::reset();
+    ft::metrics::resetPrefix("deps/");
     Schedule S(F);
     std::vector<int64_t> Loops = allLoops(S.ast());
     int64_t Accepted = 0;

@@ -21,7 +21,7 @@
 
 #include "bench_common.h"
 #include "codegen/kernel_cache.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 
 using namespace ftb;
 
@@ -155,16 +155,16 @@ void printTable() {
               "tuner total extrapolated(s)");
   uint64_t Rng = 0x12345678;
   for (WorkloadCase &W : makeCases()) {
-    // Per-case counter deltas: without the reset, FT_STATS / FT_METRICS
-    // numbers accumulate across workloads and mean nothing per case.
-    ft::stats::reset();
+    // Per-case counter deltas: without the reset, FT_METRICS numbers
+    // accumulate across workloads and mean nothing per case.
+    ft::metrics::resetPrefix("deps/");
     double FtSec = freeTensorCompileSeconds(W.F);
     // The same compile against a now-populated kernel cache: scheduling
     // and codegen still run, the host compiler does not.
     double WarmSec = freeTensorCompileSeconds(W.F);
     double RoundSec = 0;
     for (int R = 0; R < SimRounds; ++R) {
-      ft::stats::reset();
+      ft::metrics::resetPrefix("deps/");
       RoundSec += tunerRoundSeconds(W, Rng);
     }
     RoundSec /= SimRounds;
@@ -187,11 +187,11 @@ void Table2_CompileTime(benchmark::State &State) {
     return buildSubdivNet(C);
   }();
   for (auto _ : State) {
-    ft::stats::reset();
+    ft::metrics::resetPrefix("deps/");
     double Sec = freeTensorCompileSeconds(F);
     State.SetIterationTime(Sec);
     State.counters["dep_queries"] =
-        double(ft::stats::counters().DepQueries.load());
+        double(ft::metrics::counter("deps/dep_queries").load());
   }
 }
 BENCHMARK(Table2_CompileTime)->UseManualTime()->Iterations(1);

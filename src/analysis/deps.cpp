@@ -7,7 +7,7 @@
 #include "analysis/affine.h"
 #include "analysis/extents.h"
 #include "analysis/ragged.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 
 using namespace ft;
 
@@ -67,7 +67,8 @@ raggedSymForBound(const AccessCollection &AC, const Expr &Bound,
 } // namespace
 
 DepAnalyzer::DepAnalyzer(const Stmt &Root) : AC(collectAccesses(Root)) {
-  stats::counters().AnalyzerBuilds.fetch_add(1, std::memory_order_relaxed);
+  static metrics::Counter &Builds = metrics::counter("deps/analyzer_builds");
+  Builds.fetch_add(1);
   DomEarlier.resize(AC.Points.size());
   DomLater.resize(AC.Points.size());
 }
@@ -195,7 +196,7 @@ std::optional<size_t> DepAnalyzer::indexOf(const AccessPoint &P) const {
 void DepAnalyzer::appendDomain(AffineSet &S, const AccessPoint &P,
                                bool Later) const {
   std::optional<size_t> Idx = indexOf(P);
-  if (!Idx || stats::accelerationBypassed()) {
+  if (!Idx || accelerationBypassed()) {
     // Foreign point (or bypass mode): compute without caching. The cached
     // and direct paths produce the identical constraint sequence.
     addDomain(S, P, Later ? "q." : "p.");
@@ -203,14 +204,16 @@ void DepAnalyzer::appendDomain(AffineSet &S, const AccessPoint &P,
   }
   auto &Cache = Later ? DomLater : DomEarlier;
   std::optional<AffineSet> &Slot = Cache[*Idx];
-  stats::Counters &Ct = stats::counters();
+  static metrics::Counter &Hits = metrics::counter("deps/domain_cache_hits");
+  static metrics::Counter &Misses =
+      metrics::counter("deps/domain_cache_misses");
   if (!Slot) {
-    Ct.DomainCacheMisses.fetch_add(1, std::memory_order_relaxed);
+    Misses.fetch_add(1);
     AffineSet D;
     addDomain(D, P, Later ? "q." : "p.");
     Slot = std::move(D);
   } else {
-    Ct.DomainCacheHits.fetch_add(1, std::memory_order_relaxed);
+    Hits.fetch_add(1);
   }
   S.addAll(*Slot);
 }
@@ -218,7 +221,8 @@ void DepAnalyzer::appendDomain(AffineSet &S, const AccessPoint &P,
 AffineSet DepAnalyzer::buildPairSet(const AccessPoint &E,
                                     const AccessPoint &L,
                                     const RelMap &Rels) const {
-  stats::counters().PairSetsBuilt.fetch_add(1, std::memory_order_relaxed);
+  static metrics::Counter &Built = metrics::counter("deps/pair_sets_built");
+  Built.fetch_add(1);
   IsParamFn IsParam = [this](const std::string &N) { return AC.isParam(N); };
   AffineSet S;
   appendDomain(S, E, /*Later=*/false);
@@ -327,7 +331,8 @@ AffineSet DepAnalyzer::buildPairSet(const AccessPoint &E,
 
 bool DepAnalyzer::mayDepend(const AccessPoint &E, const AccessPoint &L,
                             const RelMap &Rels) const {
-  stats::counters().DepQueries.fetch_add(1, std::memory_order_relaxed);
+  static metrics::Counter &Queries = metrics::counter("deps/dep_queries");
+  Queries.fetch_add(1);
   if (E.Var != L.Var)
     return false;
   if (E.Kind == AccessKind::Read && L.Kind == AccessKind::Read)

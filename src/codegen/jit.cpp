@@ -537,7 +537,9 @@ Status Kernel::run(const std::map<std::string, Buffer *> &Args,
   I->Entry(Ptrs.data(), &Ctx);
   if (I->Profiled)
     I->mergeProfile(Prof);
-  metrics::counter("rt/kernel_invocations").fetch_add(1);
+  static metrics::Counter &Invocations =
+      metrics::counter("rt/kernel_invocations");
+  Invocations.fetch_add(1);
   if (Sp.active()) {
     KernelRtStats S = I->stats();
     Sp.annotate("invocations", S.Invocations);

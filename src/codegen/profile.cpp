@@ -10,7 +10,7 @@
 #include <optional>
 
 #include "ir/printer.h"
-#include "support/string_utils.h"
+#include "support/json.h"
 
 namespace ft::profile {
 
@@ -460,67 +460,54 @@ std::string toFolded(const KernelProfile &P) {
   return Out;
 }
 
-std::string toJson(const KernelProfile &P) {
-  std::string Out = "{";
-  Out += "\"symbol\":\"" + jsonEscape(P.Symbol) + "\",";
-  Out += "\"func\":\"" + jsonEscape(P.Map.FuncName) + "\",";
-  Out += "\"invocations\":" + std::to_string(P.Invocations) + ",";
-  Out += "\"current_bytes\":" + std::to_string(P.CurrentBytes) + ",";
-  Out += "\"peak_bytes\":" + std::to_string(P.PeakBytes) + ",";
-  Out += "\"total_alloc_bytes\":" + std::to_string(P.TotalAllocBytes) + ",";
-  Out += "\"alloc_count\":" + std::to_string(P.AllocCount) + ",";
-  Out += "\"attributed_runs\":" + std::to_string(P.AttributedRuns) + ",";
-  Out += "\"recent_request_ids\":[";
-  for (size_t I = 0; I < P.RecentRequestIds.size(); ++I)
-    Out += (I ? "," : "") + std::to_string(P.RecentRequestIds[I]);
-  Out += "],";
-  Out += "\"loops\":[";
-  bool First = true;
-  auto emitRow = [&](const LoopSample &S, const StmtSourceInfo *Info) {
-    if (!First)
-      Out += ",";
-    First = false;
-    Out += "{\"id\":" + std::to_string(S.StmtId);
-    Out += ",\"resolved\":";
-    Out += Info ? "true" : "false";
+void writeJson(json::Writer &W, const KernelProfile &P) {
+  W.beginObject().key("symbol").value(P.Symbol);
+  W.key("func").value(P.Map.FuncName);
+  W.key("invocations").value(P.Invocations);
+  W.key("current_bytes").value(P.CurrentBytes);
+  W.key("peak_bytes").value(P.PeakBytes);
+  W.key("total_alloc_bytes").value(P.TotalAllocBytes);
+  W.key("alloc_count").value(P.AllocCount);
+  W.key("attributed_runs").value(P.AttributedRuns);
+  W.key("recent_request_ids").beginArray();
+  for (uint64_t Id : P.RecentRequestIds)
+    W.value(Id);
+  W.endArray();
+  W.key("loops").beginArray();
+  for (const LoopSample &S : P.Samples) {
+    const StmtSourceInfo *Info = P.Map.find(S.StmtId);
+    W.beginObject().key("id").value(S.StmtId);
+    W.key("resolved").value(Info != nullptr);
     if (Info) {
-      Out += ",\"kind\":\"" + jsonEscape(Info->Kind) + "\"";
-      Out += ",\"name\":\"" + jsonEscape(Info->Name) + "\"";
-      Out += ",\"qual_name\":\"" + jsonEscape(Info->QualName) + "\"";
-      Out += ",\"label\":\"" + jsonEscape(Info->Label) + "\"";
-      Out += ",\"iter\":\"" + jsonEscape(Info->Iter) + "\"";
-      Out += ",\"extent\":\"" + jsonEscape(Info->Extent) + "\"";
-      Out += ",\"parallel\":";
-      Out += Info->Parallel ? "true" : "false";
-      Out += ",\"parent\":" + std::to_string(Info->ParentId);
-      Out += ",\"depth\":" + std::to_string(Info->Depth);
-      Out += ",\"path\":\"" + jsonEscape(joinPath(Info->Path)) + "\"";
-      Out += ",\"provenance\":[";
-      for (size_t I = 0; I < Info->Provenance.size(); ++I)
-        Out += (I ? "," : "") + ("\"" + jsonEscape(Info->Provenance[I]) +
-                                 "\"");
-      Out += "]";
-      Out += ",\"bytes_per_iter\":" +
-             std::to_string(Info->DirectAccessBytesPerIter);
-      Out += ",\"est_bytes_moved\":" +
-             std::to_string(Info->DirectAccessBytesPerIter * S.Iters);
+      W.key("kind").value(Info->Kind).key("name").value(Info->Name);
+      W.key("qual_name").value(Info->QualName).key("label").value(Info->Label);
+      W.key("iter").value(Info->Iter).key("extent").value(Info->Extent);
+      W.key("parallel").value(Info->Parallel);
+      W.key("parent").value(Info->ParentId).key("depth").value(Info->Depth);
+      W.key("path").value(joinPath(Info->Path));
+      W.key("provenance").beginArray();
+      for (const std::string &Step : Info->Provenance)
+        W.value(Step);
+      W.endArray();
+      W.key("bytes_per_iter").value(Info->DirectAccessBytesPerIter);
+      W.key("est_bytes_moved").value(Info->DirectAccessBytesPerIter * S.Iters);
     }
-    Out += ",\"calls\":" + std::to_string(S.Calls);
-    Out += ",\"iters\":" + std::to_string(S.Iters);
-    Out += ",\"ns\":" + std::to_string(S.Ns);
-    Out += ",\"timed_calls\":" + std::to_string(S.TimedCalls);
-    Out += ",\"timed_iters\":" + std::to_string(S.TimedIters);
-    char Buf[64];
-    std::snprintf(Buf, sizeof(Buf), ",\"est_total_ns\":%.0f", S.estNs());
-    Out += Buf;
-    std::snprintf(Buf, sizeof(Buf), ",\"est_self_ns\":%.0f",
-                  P.selfNs(S.StmtId));
-    Out += Buf;
-    Out += "}";
-  };
-  for (const LoopSample &S : P.Samples)
-    emitRow(S, P.Map.find(S.StmtId));
-  Out += "]}";
+    W.key("calls").value(S.Calls).key("iters").value(S.Iters);
+    W.key("ns").value(S.Ns);
+    W.key("timed_calls").value(S.TimedCalls);
+    W.key("timed_iters").value(S.TimedIters);
+    // Estimates are whole nanoseconds.
+    W.key("est_total_ns").value(std::round(S.estNs()));
+    W.key("est_self_ns").value(std::round(P.selfNs(S.StmtId)));
+    W.endObject();
+  }
+  W.endArray().endObject();
+}
+
+std::string toJson(const KernelProfile &P) {
+  std::string Out;
+  json::Writer W(Out);
+  writeJson(W, P);
   return Out;
 }
 
@@ -568,12 +555,13 @@ RequestAttribution requestAttribution(const std::string &Symbol) {
 }
 
 std::string snapshotJson() {
-  std::vector<KernelProfile> Profiles = snapshotProfiles();
-  std::string Out = "{\"profiles\":[";
-  for (size_t I = 0; I < Profiles.size(); ++I)
-    Out += (I ? "," : "") + toJson(Profiles[I]);
-  Out += "]}\n";
-  return Out;
+  std::string Out;
+  json::Writer W(Out);
+  W.beginObject().key("profiles").beginArray();
+  for (const KernelProfile &P : snapshotProfiles())
+    writeJson(W, P);
+  W.endArray().endObject();
+  return Out + "\n";
 }
 
 bool envEnabled() { return reg().Mode != SinkMode::Off; }

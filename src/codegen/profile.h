@@ -37,6 +37,10 @@
 #include "ir/func.h"
 #include "support/trace.h"
 
+namespace ft::json {
+class Writer;
+} // namespace ft::json
+
 namespace ft::profile {
 
 /// Merged runtime counters for one instrumented statement, summed over a
@@ -134,7 +138,11 @@ std::string formatTable(const KernelProfile &P);
 /// statement with a positive sample.
 std::string toFolded(const KernelProfile &P);
 
-/// JSON snapshot of one kernel profile (schema in DESIGN.md §10).
+/// Writes \p P as one JSON object (schema in DESIGN.md §10) through \p W;
+/// the telemetry snapshot embeds profiles this way.
+void writeJson(json::Writer &W, const KernelProfile &P);
+
+/// JSON snapshot of one kernel profile: writeJson into a fresh document.
 std::string toJson(const KernelProfile &P);
 
 /// Appends \p P to the process-wide registry consumed by the FT_PROFILE

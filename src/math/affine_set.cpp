@@ -3,6 +3,7 @@
 #include "math/affine_set.h"
 
 #include <algorithm>
+#include <atomic>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -10,7 +11,7 @@
 #include <unordered_map>
 
 #include "support/error.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 
 using namespace ft;
 
@@ -414,7 +415,9 @@ private:
   /// Eliminates \p Name from all (inequality) constraints. Returns false on
   /// overflow.
   bool fourierMotzkin(const std::string &Name) {
-    stats::counters().FmEliminations.fetch_add(1, std::memory_order_relaxed);
+    static metrics::Counter &Eliminations =
+        metrics::counter("deps/fm_eliminations");
+    Eliminations.fetch_add(1);
     std::vector<LinConstraint> Lower, Upper, Rest;
     for (LinConstraint &C : Work) {
       ftAssert(!C.IsEq, "equality left before FM elimination");
@@ -454,31 +457,54 @@ private:
 
 } // namespace
 
-void ft::stats::clearEmptinessCache() {
+namespace {
+std::atomic<bool> Bypass{false};
+} // namespace
+
+void ft::setAccelerationBypass(bool B) {
+  Bypass.store(B, std::memory_order_relaxed);
+}
+
+bool ft::accelerationBypassed() {
+  return Bypass.load(std::memory_order_relaxed);
+}
+
+void ft::clearEmptinessCache() {
   EmptinessMemo &M = memo();
   std::lock_guard<std::mutex> Lock(M.M);
   M.Map.clear();
 }
 
 bool AffineSet::isEmpty() const {
-  stats::Counters &Ct = stats::counters();
-  Ct.EmptinessQueries.fetch_add(1, std::memory_order_relaxed);
+  static metrics::Counter &Queries =
+      metrics::counter("deps/emptiness_queries");
+  static metrics::Counter &CanonicalDecided =
+      metrics::counter("deps/canonical_decided");
+  static metrics::Counter &PrefilterEmpty =
+      metrics::counter("deps/prefilter_empty");
+  static metrics::Counter &PrefilterFeasible =
+      metrics::counter("deps/prefilter_feasible");
+  static metrics::Counter &CacheHits =
+      metrics::counter("deps/emptiness_cache_hits");
+  static metrics::Counter &CacheMisses =
+      metrics::counter("deps/emptiness_cache_misses");
+  Queries.fetch_add(1);
 
-  if (stats::accelerationBypassed())
+  if (accelerationBypassed())
     return EmptinessChecker(Cs).run() == SolveResult::Empty;
 
   CanonicalSystem Canon = canonicalize(Cs);
   if (Canon.DecidedEmpty) {
-    Ct.CanonicalDecided.fetch_add(1, std::memory_order_relaxed);
+    CanonicalDecided.fetch_add(1);
     return *Canon.DecidedEmpty;
   }
 
   switch (prefilter(Canon.Cs)) {
   case SolveResult::Empty:
-    Ct.PrefilterEmpty.fetch_add(1, std::memory_order_relaxed);
+    PrefilterEmpty.fetch_add(1);
     return true;
   case SolveResult::NonEmpty:
-    Ct.PrefilterFeasible.fetch_add(1, std::memory_order_relaxed);
+    PrefilterFeasible.fetch_add(1);
     return false;
   case SolveResult::Unknown:
     break;
@@ -489,11 +515,11 @@ bool AffineSet::isEmpty() const {
     std::lock_guard<std::mutex> Lock(M.M);
     auto It = M.Map.find(Canon.Key);
     if (It != M.Map.end()) {
-      Ct.EmptinessCacheHits.fetch_add(1, std::memory_order_relaxed);
+      CacheHits.fetch_add(1);
       return It->second;
     }
   }
-  Ct.EmptinessCacheMisses.fetch_add(1, std::memory_order_relaxed);
+  CacheMisses.fetch_add(1);
 
   bool Empty = EmptinessChecker(Canon.Cs).run() == SolveResult::Empty;
   {

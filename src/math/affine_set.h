@@ -18,7 +18,7 @@
 ///      repeated queries (the common case under schedule search) return
 ///      without touching Fourier–Motzkin.
 /// All three layers are exact: they never change the answer, only how fast
-/// it is produced. stats::setAccelerationBypass(true) disables them for
+/// it is produced. setAccelerationBypass(true) disables them for
 /// differential testing.
 ///
 /// Soundness contract: isEmpty() == true is a proof that no integer point
@@ -78,7 +78,7 @@ public:
 
   /// Attempts to prove the set has no integer points. Sound, incomplete.
   /// Answers through the canonicalization / pre-filter / memo layers
-  /// unless stats::accelerationBypassed().
+  /// unless accelerationBypassed().
   bool isEmpty() const;
 
   /// Returns true if every point of this set provably satisfies E >= 0
@@ -92,6 +92,32 @@ private:
   std::vector<LinConstraint> Cs;
   bool Exact = true;
 };
+
+/// Global switch disabling every acceleration layer (memoized emptiness,
+/// canonicalization, pre-filter, and the analyzer and domain caches of the
+/// dependence analysis). With the bypass on, emptiness runs the raw
+/// Fourier–Motzkin path and Schedule rebuilds a DepAnalyzer per primitive,
+/// reproducing the pre-acceleration behaviour bit for bit: the reference
+/// path of the differential tests and the before/after benchmarks.
+void setAccelerationBypass(bool Bypass);
+bool accelerationBypassed();
+
+/// RAII helper: bypasses acceleration for one scope.
+struct BypassGuard {
+  explicit BypassGuard(bool Bypass = true) : Saved(accelerationBypassed()) {
+    setAccelerationBypass(Bypass);
+  }
+  ~BypassGuard() { setAccelerationBypass(Saved); }
+  BypassGuard(const BypassGuard &) = delete;
+  BypassGuard &operator=(const BypassGuard &) = delete;
+
+private:
+  bool Saved;
+};
+
+/// Clears the process-wide emptiness memo cache (benchmarks measure
+/// cold-cache behaviour with it).
+void clearEmptinessCache();
 
 } // namespace ft
 

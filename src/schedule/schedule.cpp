@@ -14,7 +14,7 @@
 #include "pass/flatten.h"
 #include "pass/replace.h"
 #include "pass/simplify.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 #include "support/trace.h"
 #include "support/string_utils.h"
 
@@ -216,11 +216,12 @@ Stmt Schedule::replaceById(int64_t Id, const Stmt &Repl) {
 }
 
 const DepAnalyzer &Schedule::deps() const {
-  if (!DA || DAVersion != BodyVersion || stats::accelerationBypassed()) {
+  if (!DA || DAVersion != BodyVersion || accelerationBypassed()) {
     DA = std::make_unique<DepAnalyzer>(F.Body);
     DAVersion = BodyVersion;
   } else {
-    stats::counters().AnalyzerReuses.fetch_add(1, std::memory_order_relaxed);
+    static metrics::Counter &Reuses = metrics::counter("deps/analyzer_reuses");
+    Reuses.fetch_add(1);
   }
   return *DA;
 }

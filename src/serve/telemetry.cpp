@@ -17,8 +17,8 @@
 #include <unordered_set>
 
 #include "codegen/profile.h"
+#include "support/json.h"
 #include "support/metrics.h"
-#include "support/string_utils.h"
 #include "support/trace.h"
 
 namespace fs = std::filesystem;
@@ -396,249 +396,127 @@ std::vector<TenantSlo> tenantSlo() {
 // Snapshot serialization
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-void appendKeyU64(std::string &J, const char *Key, uint64_t V, bool Comma) {
-  J += '"';
-  J += Key;
-  J += "\":";
-  J += std::to_string(V);
-  if (Comma)
-    J += ',';
-}
-
-void appendKeyNum(std::string &J, const char *Key, double V, bool Comma) {
-  J += '"';
-  J += Key;
-  J += "\":";
-  J += fmtDouble(V);
-  if (Comma)
-    J += ',';
-}
-
-void appendKeyStr(std::string &J, const char *Key, const std::string &V,
-                  bool Comma) {
-  J += '"';
-  J += Key;
-  J += "\":\"";
-  J += jsonEscape(V);
-  J += '"';
-  if (Comma)
-    J += ',';
-}
-
-void appendKeyBool(std::string &J, const char *Key, bool V, bool Comma) {
-  J += '"';
-  J += Key;
-  J += "\":";
-  J += V ? "true" : "false";
-  if (Comma)
-    J += ',';
-}
-
-void appendFlightEvent(std::string &J, const FlightEvent &E) {
-  J += '{';
-  appendKeyU64(J, "seq", E.Seq, true);
-  appendKeyNum(J, "ts_us", E.TsUs, true);
-  appendKeyStr(J, "fingerprint", hexFp(E.Fingerprint), true);
-  appendKeyU64(J, "req_id", E.ReqId, true);
-  appendKeyStr(J, "tenant", E.Tenant, true);
-  appendKeyStr(J, "tier", E.Tier, true);
-  appendKeyStr(J, "outcome", nameOf(E.Out), true);
-  appendKeyU64(J, "queue_ns", E.QueueNs, true);
-  appendKeyU64(J, "run_ns", E.RunNs, true);
-  appendKeyU64(J, "total_ns", E.TotalNs, true);
-  appendKeyU64(J, "batch_size", E.BatchSize, true);
-  appendKeyU64(J, "batch_id", E.BatchId, true);
-  appendKeyU64(J, "deadline_ns", E.DeadlineNs, true);
-  appendKeyBool(J, "deadline_missed", E.DeadlineMissed, !E.Error.empty());
-  if (!E.Error.empty())
-    appendKeyStr(J, "error", E.Error, false);
-  J += '}';
-}
-
-/// The latency-distribution keys a ShapeAgg/TenantAgg row carries.
-void appendLocalHist(std::string &J, const metrics::HistogramSnapshot &H,
-                     bool Comma) {
-  appendKeyU64(J, "count", H.Count, true);
-  appendKeyU64(J, "min_ns", H.Min, true);
-  appendKeyU64(J, "max_ns", H.Max, true);
-  appendKeyNum(J, "mean_ns", H.mean(), true);
-  appendKeyNum(J, "p50_ns", H.quantile(0.50), true);
-  appendKeyNum(J, "p95_ns", H.quantile(0.95), true);
-  appendKeyNum(J, "p99_ns", H.quantile(0.99), Comma);
-}
-
-} // namespace
-
 std::string writeSnapshotString() {
   uint64_t Seq = SnapSeq.fetch_add(1, std::memory_order_relaxed) + 1;
 
   std::string J;
   J.reserve(8192);
-  J += '{';
-  appendKeyStr(J, "schema", "freetensor-telemetry/v2", true);
-  appendKeyU64(J, "seq", Seq, true);
-  appendKeyNum(J, "wall_unix_ms", nowWallMs(), true);
+  json::Writer W(J);
+  W.beginObject().key("schema").value("freetensor-telemetry/v2");
+  W.key("seq").value(Seq).key("wall_unix_ms").value(nowWallMs());
 
   // Every registered counter, sorted by name.
-  J += "\"counters\":{";
-  bool First = true;
-  for (const auto &[Name, Val] : metrics::snapshot()) {
-    if (!First)
-      J += ',';
-    First = false;
-    J += '"';
-    J += jsonEscape(Name);
-    J += "\":";
-    J += std::to_string(Val);
-  }
-  J += "},";
+  W.key("counters").beginObject();
+  for (const auto &[Name, Val] : metrics::snapshot())
+    W.key(Name).value(Val);
+  W.endObject();
 
   // Non-empty histograms with estimated percentiles and sparse buckets.
-  J += "\"histograms\":[";
-  First = true;
+  W.key("histograms").beginArray();
   for (const metrics::HistogramSnapshot &H : metrics::snapshotHistograms()) {
     if (H.Count == 0)
       continue;
-    if (!First)
-      J += ',';
-    First = false;
-    J += '{';
-    appendKeyStr(J, "name", H.Name, true);
-    appendKeyU64(J, "count", H.Count, true);
-    appendKeyU64(J, "sum", H.Sum, true);
-    appendKeyU64(J, "min", H.Min, true);
-    appendKeyU64(J, "max", H.Max, true);
-    appendKeyNum(J, "mean", H.mean(), true);
-    appendKeyNum(J, "p50", H.quantile(0.50), true);
-    appendKeyNum(J, "p95", H.quantile(0.95), true);
-    appendKeyNum(J, "p99", H.quantile(0.99), true);
-    J += "\"buckets\":[";
-    bool FirstB = true;
-    for (int I = 0; I < metrics::HistogramSnapshot::kBuckets; ++I) {
-      if (H.Buckets[I] == 0)
-        continue;
-      if (!FirstB)
-        J += ',';
-      FirstB = false;
-      J += '[';
-      J += std::to_string(I);
-      J += ',';
-      J += std::to_string(H.Buckets[I]);
-      J += ']';
-    }
-    J += "]}";
+    W.beginObject().key("name").value(H.Name).key("count").value(H.Count);
+    W.key("sum").value(H.Sum).key("min").value(H.Min).key("max").value(H.Max);
+    W.key("mean").value(H.mean()).key("p50").value(H.quantile(0.50));
+    W.key("p95").value(H.quantile(0.95)).key("p99").value(H.quantile(0.99));
+    W.key("buckets").beginArray();
+    for (int I = 0; I < metrics::HistogramSnapshot::kBuckets; ++I)
+      if (H.Buckets[I] != 0)
+        W.beginArray().value(I).value(H.Buckets[I]).endArray();
+    W.endArray().endObject();
   }
-  J += "],";
+  W.endArray();
 
   // Hot kernels, heaviest first. Fingerprints travel as hex strings: the
   // JSON number type (double) cannot hold a full u64.
-  J += "\"kernels\":[";
-  First = true;
+  W.key("kernels").beginArray();
   for (const HotKernel &K : hotKernels()) {
-    if (!First)
-      J += ',';
-    First = false;
-    J += '{';
-    appendKeyStr(J, "fingerprint", hexFp(K.Fingerprint), true);
-    appendKeyU64(J, "requests", K.Requests, true);
-    appendKeyU64(J, "total_ns", K.TotalNs, true);
-    appendKeyNum(J, "mean_ns", K.MeanNs, true);
-    appendKeyU64(J, "jit", K.Jit, true);
-    appendKeyU64(J, "interp", K.Interp, true);
-    appendKeyU64(J, "errors", K.Errors, false);
-    J += '}';
+    W.beginObject().key("fingerprint").value(hexFp(K.Fingerprint));
+    W.key("requests").value(K.Requests).key("total_ns").value(K.TotalNs);
+    W.key("mean_ns").value(K.MeanNs).key("jit").value(K.Jit);
+    W.key("interp").value(K.Interp).key("errors").value(K.Errors);
+    W.endObject();
   }
-  J += "],";
+  W.endArray();
+
+  // The latency-distribution keys a shape row or a tenant's slack carries.
+  auto Latency = [&W](const metrics::HistogramSnapshot &H) {
+    W.key("count").value(H.Count).key("min_ns").value(H.Min);
+    W.key("max_ns").value(H.Max).key("mean_ns").value(H.mean());
+    W.key("p50_ns").value(H.quantile(0.50));
+    W.key("p95_ns").value(H.quantile(0.95));
+    W.key("p99_ns").value(H.quantile(0.99));
+  };
 
   // Workload characterization: the per-fingerprint shape table, each row
   // with its own latency distribution. The "other" bucket aggregates the
   // shapes past the table cap so counts always sum to requests served.
   {
     std::lock_guard<std::mutex> L(AggMu);
-    J += "\"shapes\":[";
-    First = true;
+    W.key("shapes").beginArray();
     for (const auto &[Fp, FS] : shapeAggs()) {
-      if (!First)
-        J += ',';
-      First = false;
-      J += '{';
-      appendKeyStr(J, "fingerprint", hexFp(Fp), true);
-      appendKeyU64(J, "table_cap", shapeTableCap(), true);
-      J += "\"rows\":[";
-      bool FirstRow = true;
+      W.beginObject().key("fingerprint").value(hexFp(Fp));
+      W.key("table_cap").value(shapeTableCap()).key("rows").beginArray();
       for (const auto &[Key, A] : FS.Shapes) {
-        if (!FirstRow)
-          J += ',';
-        FirstRow = false;
-        J += '{';
-        appendKeyStr(J, "shape", Key, true);
-        appendKeyU64(J, "requests", A.Requests, true);
-        appendKeyU64(J, "total_ns", A.TotalNs, true);
-        appendLocalHist(J, A.Lat, false);
-        J += '}';
+        W.beginObject().key("shape").value(Key);
+        W.key("requests").value(A.Requests).key("total_ns").value(A.TotalNs);
+        Latency(A.Lat);
+        W.endObject();
       }
-      J += "],\"other\":{";
-      appendKeyU64(J, "requests", FS.Other.Requests, true);
-      appendKeyU64(J, "total_ns", FS.Other.TotalNs, true);
-      appendKeyU64(J, "distinct_shapes", FS.OtherDistinct, false);
-      J += "}}";
+      W.endArray().key("other").beginObject();
+      W.key("requests").value(FS.Other.Requests);
+      W.key("total_ns").value(FS.Other.TotalNs);
+      W.key("distinct_shapes").value(FS.OtherDistinct);
+      W.endObject().endObject();
     }
-    J += "],";
+    W.endArray();
 
     // SLO monitoring: per-tenant deadline accounting. "slack" is the
     // time-to-deadline headroom distribution of met requests.
-    J += "\"tenants\":[";
-    First = true;
+    W.key("tenants").beginArray();
     for (const auto &[Name, A] : tenantAggs()) {
-      if (!First)
-        J += ',';
-      First = false;
-      J += '{';
-      appendKeyStr(J, "tenant", Name, true);
-      appendKeyU64(J, "requests", A.Requests, true);
-      appendKeyU64(J, "met", A.Met, true);
-      appendKeyU64(J, "missed", A.Missed, true);
-      appendKeyU64(J, "total_ns", A.TotalNs, true);
-      J += "\"slack\":{";
-      appendLocalHist(J, A.Slack, false);
-      J += "}}";
+      W.beginObject().key("tenant").value(Name);
+      W.key("requests").value(A.Requests).key("met").value(A.Met);
+      W.key("missed").value(A.Missed).key("total_ns").value(A.TotalNs);
+      W.key("slack").beginObject();
+      Latency(A.Slack);
+      W.endObject().endObject();
     }
-    J += "],";
+    W.endArray();
   }
 
   // Flight recorder: cumulative summary + the newest buffered events
   // (peeked, not drained — snapshots must not consume the black box).
   FlightSummary FS = flightRecorder().summary();
-  J += "\"flight\":{";
-  appendKeyU64(J, "recorded", FS.Recorded, true);
-  appendKeyU64(J, "ok", FS.Ok, true);
-  appendKeyU64(J, "invalid_args", FS.InvalidArgs, true);
-  appendKeyU64(J, "run_errors", FS.RunErrors, true);
-  appendKeyU64(J, "rejected_full", FS.RejectedFull, true);
-  appendKeyU64(J, "rejected_shutdown", FS.RejectedShutdown, true);
-  J += "\"recent\":[";
-  First = true;
+  W.key("flight").beginObject();
+  W.key("recorded").value(FS.Recorded).key("ok").value(FS.Ok);
+  W.key("invalid_args").value(FS.InvalidArgs);
+  W.key("run_errors").value(FS.RunErrors);
+  W.key("rejected_full").value(FS.RejectedFull);
+  W.key("rejected_shutdown").value(FS.RejectedShutdown);
+  W.key("recent").beginArray();
   for (const FlightEvent &E : flightRecorder().peek(64)) {
-    if (!First)
-      J += ',';
-    First = false;
-    appendFlightEvent(J, E);
+    W.beginObject().key("seq").value(E.Seq).key("ts_us").value(E.TsUs);
+    W.key("fingerprint").value(hexFp(E.Fingerprint));
+    W.key("req_id").value(E.ReqId).key("tenant").value(E.Tenant);
+    W.key("tier").value(E.Tier).key("outcome").value(nameOf(E.Out));
+    W.key("queue_ns").value(E.QueueNs).key("run_ns").value(E.RunNs);
+    W.key("total_ns").value(E.TotalNs);
+    W.key("batch_size").value(E.BatchSize).key("batch_id").value(E.BatchId);
+    W.key("deadline_ns").value(E.DeadlineNs);
+    W.key("deadline_missed").value(E.DeadlineMissed);
+    if (!E.Error.empty())
+      W.key("error").value(E.Error);
+    W.endObject();
   }
-  J += "]},";
+  W.endArray().endObject();
 
   // Kernel profiler join: per-loop tables when FT_PROFILE collected any.
-  // profile::toJson already emits a complete JSON object per kernel.
-  J += "\"profiles\":[";
-  First = true;
-  for (const profile::KernelProfile &P : profile::snapshotProfiles()) {
-    if (!First)
-      J += ',';
-    First = false;
-    J += profile::toJson(P);
-  }
-  J += "]}";
+  W.key("profiles").beginArray();
+  for (const profile::KernelProfile &P : profile::snapshotProfiles())
+    profile::writeJson(W, P);
+  W.endArray().endObject();
   return J;
 }
 

@@ -3,6 +3,8 @@
 #include "support/json.h"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
@@ -322,6 +324,113 @@ Result<Value> parseFile(const std::string &Path) {
   if (!R.ok())
     return Result<Value>::error(R.message() + " in " + Path);
   return R;
+}
+
+void Writer::separate() {
+  if (AfterKey) {
+    AfterKey = false;
+    return;
+  }
+  if (HasElement.empty())
+    return;
+  if (HasElement.back())
+    Out += ',';
+  HasElement.back() = true;
+}
+
+Writer &Writer::open(char C) {
+  separate();
+  Out += C;
+  HasElement.push_back(false);
+  return *this;
+}
+
+Writer &Writer::close(char C) {
+  HasElement.pop_back();
+  Out += C;
+  return *this;
+}
+
+Writer &Writer::beginObject() { return open('{'); }
+Writer &Writer::endObject() { return close('}'); }
+Writer &Writer::beginArray() { return open('['); }
+Writer &Writer::endArray() { return close(']'); }
+
+Writer &Writer::key(std::string_view K) {
+  separate();
+  string(K);
+  Out += ':';
+  AfterKey = true;
+  return *this;
+}
+
+Writer &Writer::value(std::string_view S) {
+  separate();
+  string(S);
+  return *this;
+}
+
+Writer &Writer::value(bool B) {
+  separate();
+  Out += B ? "true" : "false";
+  return *this;
+}
+
+Writer &Writer::value(int64_t V) {
+  separate();
+  Out += std::to_string(V);
+  return *this;
+}
+
+Writer &Writer::value(uint64_t V) {
+  separate();
+  Out += std::to_string(V);
+  return *this;
+}
+
+Writer &Writer::value(double V) {
+  separate();
+  if (!std::isfinite(V)) {
+    Out += "null";
+    return *this;
+  }
+  char Buf[32];
+  std::to_chars_result R = std::to_chars(Buf, Buf + sizeof(Buf), V);
+  Out.append(Buf, R.ptr);
+  return *this;
+}
+
+void Writer::string(std::string_view S) {
+  Out += '"';
+  for (char C : S) {
+    switch (C) {
+    case '"':
+      Out += "\\\"";
+      break;
+    case '\\':
+      Out += "\\\\";
+      break;
+    case '\n':
+      Out += "\\n";
+      break;
+    case '\r':
+      Out += "\\r";
+      break;
+    case '\t':
+      Out += "\\t";
+      break;
+    default:
+      if (static_cast<unsigned char>(C) < 0x20) {
+        static const char Hex[] = "0123456789abcdef";
+        Out += "\\u00";
+        Out += Hex[(C >> 4) & 0xF];
+        Out += Hex[C & 0xF];
+      } else {
+        Out += C;
+      }
+    }
+  }
+  Out += '"';
 }
 
 } // namespace ft::json

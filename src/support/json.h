@@ -1,16 +1,19 @@
-//===- support/json.h - Minimal JSON document parser -------------*- C++ -*-===//
+//===- support/json.h - Minimal JSON parser and writer -----------*- C++ -*-===//
 ///
 /// \file
-/// A small recursive-descent JSON parser producing an owned DOM. The repo
-/// emits JSON in several places (Chrome traces, kernel-profile snapshots,
-/// BENCH_*.json, and the telemetry snapshots of serve/telemetry.h); this
-/// is the consuming side, used by `ftc --top` to read telemetry snapshots
-/// back and by the tests that assert every sink's escaping round-trips.
+/// The repo's one JSON layer. json::Writer streams a document in compact
+/// form; it is the only emitting path of the Chrome-trace sink
+/// (support/trace.h), the kernel-profile snapshot (codegen/profile.h) and
+/// the telemetry snapshots of serve/telemetry.h, so commas, string escapes
+/// and number spelling are decided here once. json::parse is the consuming
+/// side: a small recursive-descent parser producing an owned DOM, used by
+/// `ftc --top` to read telemetry snapshots back and by the tests that
+/// assert every sink round-trips.
 ///
-/// Scope: complete JSON syntax (objects, arrays, strings with escapes
-/// incl. \uXXXX, numbers, true/false/null). Numbers are held as double —
-/// exact for integers up to 2^53, which is why fingerprints travel as hex
-/// *strings* in the telemetry schema. Errors are returned as Status
+/// Parser scope: complete JSON syntax (objects, arrays, strings with
+/// escapes incl. \uXXXX, numbers, true/false/null). Numbers are held as
+/// double — exact for integers up to 2^53, which is why fingerprints travel
+/// as hex *strings* in the telemetry schema. Errors are returned as Status
 /// messages with a byte offset; no exceptions.
 ///
 //===----------------------------------------------------------------------===//
@@ -18,8 +21,11 @@
 #ifndef FT_SUPPORT_JSON_H
 #define FT_SUPPORT_JSON_H
 
-#include <memory>
+#include <concepts>
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -94,6 +100,57 @@ Result<Value> parse(const std::string &Text);
 
 /// Parses the file at \p Path. Error on unreadable file or invalid JSON.
 Result<Value> parseFile(const std::string &Path);
+
+/// Appends one JSON document to a string, token by token, with no
+/// whitespace between tokens. The writer places every comma itself and
+/// escapes every string (quotes, backslashes and all control characters
+/// below 0x20; UTF-8 passes through), so a hostile span or kernel name
+/// cannot corrupt a document. Doubles are spelled one way, the shortest
+/// form that parses back to the same value (std::to_chars); a caller that
+/// wants fewer digits rounds the value first. JSON has no NaN or infinity,
+/// so those are written as null. Every call returns the writer, so a
+/// member reads `W.key("seq").value(Seq)`.
+///
+/// The writer only appends to the string it was given: a caller streaming
+/// a large document may write that string out and clear it between values.
+class Writer {
+public:
+  explicit Writer(std::string &Out) : Out(Out) {}
+
+  Writer &beginObject();
+  Writer &endObject();
+  Writer &beginArray();
+  Writer &endArray();
+
+  /// The next member's key; the value call that follows completes it.
+  Writer &key(std::string_view K);
+
+  Writer &value(std::string_view S);
+  Writer &value(const char *S) { return value(std::string_view(S)); }
+  Writer &value(bool B);
+  Writer &value(int64_t V);
+  Writer &value(uint64_t V);
+  Writer &value(double V);
+  /// Other integer types (int, unsigned, long long) widen to 64 bits.
+  template <std::integral T> Writer &value(T V) {
+    if constexpr (std::is_signed_v<T>)
+      return value(static_cast<int64_t>(V));
+    else
+      return value(static_cast<uint64_t>(V));
+  }
+
+private:
+  /// Writes the comma owed before a new value or key, if any.
+  void separate();
+  Writer &open(char C);
+  Writer &close(char C);
+  void string(std::string_view S);
+
+  std::string &Out;
+  /// One entry per open object or array: whether it has an element yet.
+  std::vector<bool> HasElement;
+  bool AfterKey = false;
+};
 
 } // namespace ft::json
 

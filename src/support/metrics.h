@@ -17,9 +17,10 @@
 /// Metrics are created on first use by hierarchical name
 /// ("deps/dep_queries", "serve/queue_wait_ns", ...) and live for the whole
 /// process; references returned by counter()/histogram() are stable, so
-/// hot paths resolve their metric once and then pay only relaxed atomics.
-/// The dependence-engine counters of support/stats.h are registered here,
-/// which is what lets FT_METRICS=1 subsume the legacy FT_STATS output.
+/// hot paths resolve their metric once (a function-local
+/// `static metrics::Counter &`) and then pay only relaxed atomics.
+/// FT_METRICS=1 prints every registered counter at exit, the dependence
+/// engine's "deps/" counters included (support/trace.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,8 +38,7 @@
 namespace ft::metrics {
 
 /// One named counter. Obtain instances through counter(); never constructed
-/// directly. The mutation API mirrors std::atomic<uint64_t> so call sites
-/// ported from raw atomics (support/stats.h) compile unchanged.
+/// directly. The mutation API mirrors std::atomic<uint64_t>.
 class Counter {
 public:
   void fetch_add(uint64_t N = 1,
@@ -53,12 +53,6 @@ public:
   void store(uint64_t V,
              std::memory_order O = std::memory_order_relaxed) {
     Val.store(V, O);
-  }
-
-  /// Assignment form used by reset code (`C.DepQueries = 0`).
-  Counter &operator=(uint64_t V) {
-    store(V);
-    return *this;
   }
 
   const std::string &name() const { return Name; }
@@ -86,8 +80,7 @@ std::vector<std::pair<std::string, uint64_t>> snapshot();
 void resetAll();
 
 /// Resets every counter and histogram whose name starts with \p Prefix
-/// (e.g. "deps/" for the legacy FT_STATS reset, "serve/" between bench
-/// phases).
+/// (e.g. "deps/" between compiles, "serve/" between bench phases).
 void resetPrefix(const std::string &Prefix);
 
 /// A relaxed-consistency copy of one histogram, taken by

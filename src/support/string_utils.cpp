@@ -18,40 +18,6 @@ std::string ft::join(const std::vector<std::string> &Parts,
   return Out;
 }
 
-std::string ft::jsonEscape(const std::string &In) {
-  std::string Out;
-  Out.reserve(In.size() + 2);
-  for (char C : In) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 std::string ft::fmtDouble(double V) {
   if (std::isinf(V))
     return V > 0 ? "INFINITY" : "(-INFINITY)";

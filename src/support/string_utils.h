@@ -23,15 +23,6 @@ std::string join(const std::vector<std::string> &Parts,
 /// the code generator).
 std::string fmtDouble(double V);
 
-/// Escapes \p In for embedding inside a double-quoted JSON string: quotes,
-/// backslashes, and every control character below 0x20 (\n, \r, \t get
-/// their short forms; the rest become \u00XX). Bytes >= 0x20 pass through
-/// unchanged (UTF-8 sequences survive). The one escaping path shared by
-/// every JSON sink — the Chrome-trace writer, the kernel-profile snapshot,
-/// and the telemetry snapshot exporter — so a hostile span or kernel-symbol
-/// name cannot corrupt any of them.
-std::string jsonEscape(const std::string &In);
-
 /// Returns \p Base if unused according to \p IsUsed, otherwise the first
 /// "Base.N" that is unused. Used to generate fresh variable names.
 template <typename Pred>

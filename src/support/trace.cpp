@@ -4,14 +4,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <map>
 #include <mutex>
 #include <thread>
 
+#include "support/json.h"
 #include "support/metrics.h"
-#include "support/stats.h"
-#include "support/string_utils.h"
 
 namespace ft::trace {
 
@@ -120,19 +120,6 @@ std::string fmtIdList(const std::vector<int64_t> &Ids) {
   for (size_t I = 0; I < Ids.size(); ++I)
     Out += (I ? ", " : "") + std::to_string(Ids[I]);
   return Out + "]";
-}
-
-void writeArgsObject(std::FILE *F,
-                     const std::vector<std::pair<std::string, std::string>>
-                         &Args) {
-  std::fprintf(F, "{");
-  bool First = true;
-  for (const auto &[K, V] : Args) {
-    std::fprintf(F, "%s\"%s\":\"%s\"", First ? "" : ",",
-                 jsonEscape(K).c_str(), jsonEscape(V).c_str());
-    First = false;
-  }
-  std::fprintf(F, "}");
 }
 
 } // namespace
@@ -247,9 +234,10 @@ ScheduleAudit::ScheduleAudit(const char *Primitive, std::string Target)
   if (!Armed)
     return;
   StartUs = nowUs();
-  stats::Counters &C = stats::counters();
-  DepQ0 = C.DepQueries.load();
-  EmptyQ0 = C.EmptinessQueries.load();
+  static metrics::Counter &DepQ = metrics::counter("deps/dep_queries");
+  static metrics::Counter &EmptyQ = metrics::counter("deps/emptiness_queries");
+  DepQ0 = DepQ.load();
+  EmptyQ0 = EmptyQ.load();
 }
 
 ScheduleAudit::~ScheduleAudit() {
@@ -262,14 +250,15 @@ void ScheduleAudit::finishImpl(const Status &S) {
   if (!Armed || Finished)
     return;
   Finished = true;
-  stats::Counters &C = stats::counters();
+  static metrics::Counter &DepQ = metrics::counter("deps/dep_queries");
+  static metrics::Counter &EmptyQ = metrics::counter("deps/emptiness_queries");
   ScheduleDecision D;
   D.Primitive = Primitive;
   D.Target = Target;
   D.Applied = S.ok();
   D.Reason = S.message();
-  D.DepQueries = C.DepQueries.load() - DepQ0;
-  D.EmptinessQueries = C.EmptinessQueries.load() - EmptyQ0;
+  D.DepQueries = DepQ.load() - DepQ0;
+  D.EmptinessQueries = EmptyQ.load() - EmptyQ0;
   D.DurUs = nowUs() - StartUs;
   D.StmtIds = std::move(StmtIds);
   if (Sp.active()) {
@@ -332,51 +321,59 @@ Status writeChromeTrace(const std::string &Path) {
   std::FILE *F = std::fopen(Path.c_str(), "w");
   if (!F)
     return Status::error("could not open trace file " + Path);
-  std::fprintf(F, "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-  bool First = true;
+  std::string Buf;
+  json::Writer W(Buf);
+  // Written out in pieces so a long trace is never held twice in memory.
+  auto Drain = [&](size_t Over) {
+    if (Buf.size() < Over)
+      return;
+    std::fwrite(Buf.data(), 1, Buf.size(), F);
+    Buf.clear();
+  };
+  constexpr size_t Chunk = size_t(1) << 16;
+  // Timestamps are microseconds; digits past the nanosecond are noise.
+  auto Us = [](double V) { return std::round(V * 1e3) / 1e3; };
+  W.beginObject().key("displayTimeUnit").value("ms");
+  W.key("traceEvents").beginArray();
   for (const SpanEvent &E : Snap.Spans) {
-    std::fprintf(F,
-                 "%s{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
-                 "\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":%d,\"args\":",
-                 First ? "" : ",\n", jsonEscape(E.Name).c_str(),
-                 jsonEscape(layerOf(E.Name)).c_str(), E.StartUs, E.DurUs,
-                 E.Tid);
-    std::vector<std::pair<std::string, std::string>> Args = E.Args;
-    Args.emplace_back("depth", std::to_string(E.Depth));
-    writeArgsObject(F, Args);
-    std::fprintf(F, "}");
-    First = false;
+    W.beginObject().key("name").value(E.Name);
+    W.key("cat").value(layerOf(E.Name)).key("ph").value("X");
+    W.key("ts").value(Us(E.StartUs)).key("dur").value(Us(E.DurUs));
+    W.key("pid").value(1).key("tid").value(E.Tid);
+    W.key("args").beginObject();
+    for (const auto &[K, V] : E.Args)
+      W.key(K).value(V);
+    W.key("depth").value(std::to_string(E.Depth)).endObject().endObject();
+    Drain(Chunk);
   }
   for (const FlowEvent &E : Snap.Flows) {
-    std::fprintf(F,
-                 "%s{\"name\":\"%s\",\"cat\":\"flow\",\"ph\":\"%c\","
-                 "\"id\":%llu,\"ts\":%.3f,\"pid\":1,\"tid\":%d%s}",
-                 First ? "" : ",\n", jsonEscape(E.Name).c_str(), E.Phase,
-                 static_cast<unsigned long long>(E.Id), E.TsUs, E.Tid,
-                 E.Phase == 'f' ? ",\"bp\":\"e\"" : "");
-    First = false;
+    W.beginObject().key("name").value(E.Name).key("cat").value("flow");
+    W.key("ph").value(std::string_view(&E.Phase, 1)).key("id").value(E.Id);
+    W.key("ts").value(Us(E.TsUs)).key("pid").value(1).key("tid").value(E.Tid);
+    if (E.Phase == 'f')
+      W.key("bp").value("e");
+    W.endObject();
+    Drain(Chunk);
   }
   for (const ScheduleDecision &D : Snap.Audit) {
-    std::fprintf(F,
-                 "%s{\"name\":\"%s\",\"cat\":\"audit\",\"ph\":\"i\","
-                 "\"ts\":%.3f,\"s\":\"p\",\"pid\":1,\"tid\":0,\"args\":",
-                 First ? "" : ",\n",
-                 jsonEscape("audit/" + D.Primitive).c_str(), D.TsUs);
-    std::vector<std::pair<std::string, std::string>> Args{
-        {"primitive", D.Primitive},
-        {"target", D.Target},
-        {"applied", D.Applied ? "true" : "false"},
-        {"reason", D.Reason},
-        {"dep_queries", std::to_string(D.DepQueries)},
-        {"emptiness_queries", std::to_string(D.EmptinessQueries)},
-    };
+    W.beginObject().key("name").value("audit/" + D.Primitive);
+    W.key("cat").value("audit").key("ph").value("i");
+    W.key("ts").value(Us(D.TsUs)).key("s").value("p");
+    W.key("pid").value(1).key("tid").value(0);
+    W.key("args").beginObject().key("primitive").value(D.Primitive);
+    W.key("target").value(D.Target);
+    W.key("applied").value(D.Applied ? "true" : "false");
+    W.key("reason").value(D.Reason);
+    W.key("dep_queries").value(std::to_string(D.DepQueries));
+    W.key("emptiness_queries").value(std::to_string(D.EmptinessQueries));
     if (!D.StmtIds.empty())
-      Args.emplace_back("stmt_ids", fmtIdList(D.StmtIds));
-    writeArgsObject(F, Args);
-    std::fprintf(F, "}");
-    First = false;
+      W.key("stmt_ids").value(fmtIdList(D.StmtIds));
+    W.endObject().endObject();
+    Drain(Chunk);
   }
-  std::fprintf(F, "\n]}\n");
+  W.endArray().endObject();
+  Buf += '\n';
+  Drain(0);
   if (std::fclose(F) != 0)
     return Status::error("could not write trace file " + Path);
   return Status::success();

@@ -17,7 +17,7 @@
 ///                       (loadable in chrome://tracing or Perfetto)
 ///   FT_METRICS=1        print a hierarchical span summary + every
 ///                       registered metrics counter at process exit
-///                       (subsumes the legacy FT_STATS table)
+///                       (the dependence engine's deps/ counters too)
 ///   ft::trace::snapshot()  programmatic access for tests and benches
 ///
 /// Cost model: when disabled (the default), constructing a span is one

@@ -437,6 +437,8 @@ TEST_F(ConcurrencyTest, OneKernelRunsFromEightThreadsAtOnce) {
     Opts.Profile = Profiled;
     auto K = Kernel::compile(S.func(), Opts, "-O1");
     ASSERT_TRUE(K.ok()) << K.message();
+    metrics::Counter &Invocations = metrics::counter("rt/kernel_invocations");
+    const uint64_t Invocations0 = Invocations.load();
     std::atomic<int> Mismatches{0};
     std::vector<std::thread> Ts;
     for (int T = 0; T < kThreads; ++T)
@@ -450,6 +452,7 @@ TEST_F(ConcurrencyTest, OneKernelRunsFromEightThreadsAtOnce) {
     EXPECT_EQ(Mismatches.load(), 0) << "profiled=" << Profiled;
 
     const uint64_t Calls = kThreads * Runs;
+    EXPECT_EQ(Invocations.load() - Invocations0, Calls);
     KernelRtStats St = K->rtStats();
     EXPECT_EQ(St.Invocations, Calls);
     EXPECT_EQ(St.ParallelFors, Calls);

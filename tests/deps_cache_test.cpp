@@ -4,7 +4,7 @@
 // canonicalization, an interval/GCD pre-filter, process-wide emptiness
 // memoization, per-point domain caching, analyzer reuse) over the plain
 // Fourier–Motzkin path. Every layer is required to be *exact*: with
-// acceleration on or bypassed (stats::BypassGuard), every query must return
+// acceleration on or bypassed (BypassGuard), every query must return
 // the identical answer. These tests enforce that on randomized programs and
 // randomized schedule sequences.
 //
@@ -17,8 +17,9 @@
 
 #include "frontend/libop.h"
 #include "ir/printer.h"
+#include "math/affine_set.h"
 #include "schedule/schedule.h"
-#include "support/stats.h"
+#include "support/metrics.h"
 
 using namespace ft;
 
@@ -218,7 +219,7 @@ TEST_P(DepsCacheFuzz, CachedQueriesMatchBypassedQueries) {
   std::multiset<DepSig> Accelerated = allQueries(F.Body);
   std::multiset<DepSig> Plain;
   {
-    stats::BypassGuard G;
+    BypassGuard G;
     Plain = allQueries(F.Body);
   }
   EXPECT_EQ(Accelerated, Plain) << "seed " << Seed;
@@ -237,7 +238,7 @@ TEST_P(DepsCacheFuzz, ScheduleDecisionsMatchBypassedDecisions) {
   Schedule SPlain(makeRandomProgram(Seed));
   std::vector<bool> AcceptedPlain;
   {
-    stats::BypassGuard G;
+    BypassGuard G;
     AcceptedPlain = applySchedules(SPlain, Seed, 10);
   }
 
@@ -256,28 +257,26 @@ TEST(DepsCache, MemoizationServesRepeatedQueries) {
   Func F = makeRandomProgram(7);
   std::multiset<DepSig> First = allQueries(F.Body);
 
-  stats::reset();
+  metrics::resetPrefix("deps/");
   std::multiset<DepSig> Second = allQueries(F.Body);
   EXPECT_EQ(First, Second);
 
-  stats::Counters &C = stats::counters();
-  EXPECT_GT(C.EmptinessQueries.load(), 0u);
+  EXPECT_GT(metrics::counter("deps/emptiness_queries").load(), 0u);
   // Every FM-requiring system was already solved in the first pass.
-  EXPECT_GT(C.EmptinessCacheHits.load(), 0u);
-  EXPECT_EQ(C.EmptinessCacheMisses.load(), 0u);
+  EXPECT_GT(metrics::counter("deps/emptiness_cache_hits").load(), 0u);
+  EXPECT_EQ(metrics::counter("deps/emptiness_cache_misses").load(), 0u);
 }
 
 // The per-point domain cache must serve repeated pair-set constructions.
 TEST(DepsCache, DomainCacheServesRepeatedPairSets) {
   Func F = makeRandomProgram(11);
   DepAnalyzer DA(F.Body);
-  stats::reset();
+  metrics::resetPrefix("deps/");
   for (int64_t L : allLoops(F.Body)) {
     (void)DA.carriedBy(L);
     (void)DA.carriedBy(L);
   }
-  stats::Counters &C = stats::counters();
-  EXPECT_GT(C.DomainCacheHits.load(), 0u);
+  EXPECT_GT(metrics::counter("deps/domain_cache_hits").load(), 0u);
 }
 
 } // namespace

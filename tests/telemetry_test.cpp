@@ -6,8 +6,8 @@
 //     counting, quantile estimation within one bucket of the true sample
 //     quantile, merge across shards;
 //   - the minimal JSON parser (support/json.h): documents, escapes,
-//     numbers, error offsets;
-//   - one jsonEscape for every sink: hostile strings round-trip through
+//     numbers, error offsets; and the json::Writer round-trip through it;
+//   - one json::Writer for every sink: hostile strings round-trip through
 //     both the Chrome-trace writer and the telemetry snapshot, byte for
 //     byte, via the parser;
 //   - the flight recorder: wrap-around, drain order, typed outcomes,
@@ -30,6 +30,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <gtest/gtest.h>
@@ -42,7 +43,6 @@
 #include "serve/telemetry.h"
 #include "support/json.h"
 #include "support/metrics.h"
-#include "support/string_utils.h"
 #include "support/trace.h"
 
 using namespace ft;
@@ -267,6 +267,12 @@ TEST_F(TelemetryTest, HistogramSnapshotAddMatchesRecord) {
 // JSON parser
 //===----------------------------------------------------------------------===//
 
+namespace {
+/// Quotes, backslashes, newlines, tabs, and a raw control byte — the
+/// characters that break naive JSON emitters.
+const std::string kHostile = "evil\"name\\with\nnew\tline\x01end";
+} // namespace
+
 TEST_F(TelemetryTest, JsonParsesDocuments) {
   auto R = json::parse(
       R"({"a": 1.5, "b": [1, 2, 3], "c": {"d": "x", "e": true}, "f": null})");
@@ -301,15 +307,67 @@ TEST_F(TelemetryTest, JsonRejectsGarbageWithOffsets) {
   EXPECT_NE(R.message().find("byte"), std::string::npos) << R.message();
 }
 
-//===----------------------------------------------------------------------===//
-// jsonEscape round-trips through every sink
-//===----------------------------------------------------------------------===//
+TEST_F(TelemetryTest, JsonWriterRoundTripsThroughParser) {
+  std::string Out;
+  json::Writer W(Out);
+  W.beginObject().key(kHostile).value(kHostile);
+  W.key("min").value(INT64_MIN).key("two53").value(uint64_t(1) << 53);
+  W.key("doubles").beginArray().value(0.1).value(1e-300).value(12.345);
+  W.endArray();
+  W.key("flags").beginArray().value(true).value(false).endArray();
+  W.key("empty_obj").beginObject().endObject();
+  W.key("empty_arr").beginArray().endArray();
+  W.key("nested").beginObject().key("rows").beginArray();
+  W.beginObject().key("id").value(-7).endObject();
+  W.beginArray().endArray().beginObject().endObject();
+  W.endArray().endObject().endObject();
 
-namespace {
-/// Quotes, backslashes, newlines, tabs, and a raw control byte — the
-/// characters that break naive JSON emitters.
-const std::string kHostile = "evil\"name\\with\nnew\tline\x01end";
-} // namespace
+  // Compact: the sink tests match substrings such as
+  // "cat":"flow","ph":"s","id":7, so no whitespace may sit between tokens
+  // (kHostile's newline and tab are escaped inside its strings).
+  EXPECT_EQ(Out.find_first_of(" \t\n\r"), std::string::npos) << Out;
+  EXPECT_NE(Out.find("\"min\":-9223372036854775808,\"two53\":"
+                     "9007199254740992,"),
+            std::string::npos)
+      << Out;
+  EXPECT_NE(Out.find("\"doubles\":[0.1,1e-300,12.345]"), std::string::npos)
+      << Out;
+
+  auto R = json::parse(Out);
+  ASSERT_TRUE(R.ok()) << R.message() << "\n" << Out;
+  ASSERT_EQ(R->size(), 8u);
+  EXPECT_EQ(R->members()[0].first, kHostile);
+  EXPECT_EQ(R->str(kHostile), kHostile);
+  EXPECT_EQ(R->num("min"), double(INT64_MIN));
+  EXPECT_EQ(R->num("two53"), 9007199254740992.0);
+  const json::Value *D = R->get("doubles");
+  ASSERT_NE(D, nullptr);
+  ASSERT_EQ(D->size(), 3u);
+  EXPECT_EQ(D->items()[0].asNumber(), 0.1);
+  EXPECT_EQ(D->items()[1].asNumber(), 1e-300);
+  EXPECT_EQ(D->items()[2].asNumber(), 12.345);
+  const json::Value *Flags = R->get("flags");
+  ASSERT_NE(Flags, nullptr);
+  ASSERT_EQ(Flags->size(), 2u);
+  EXPECT_TRUE(Flags->items()[0].isBool() && Flags->items()[0].asBool());
+  EXPECT_TRUE(Flags->items()[1].isBool() && !Flags->items()[1].asBool(true));
+  ASSERT_TRUE(R->get("empty_obj") && R->get("empty_obj")->isObject());
+  EXPECT_EQ(R->get("empty_obj")->size(), 0u);
+  ASSERT_TRUE(R->get("empty_arr") && R->get("empty_arr")->isArray());
+  EXPECT_EQ(R->get("empty_arr")->size(), 0u);
+  const json::Value *Rows = R->at("nested.rows");
+  ASSERT_NE(Rows, nullptr);
+  ASSERT_EQ(Rows->size(), 3u);
+  EXPECT_EQ(Rows->items()[0].num("id"), -7.0);
+  EXPECT_TRUE(Rows->items()[1].isArray());
+  EXPECT_EQ(Rows->items()[1].size(), 0u);
+  EXPECT_TRUE(Rows->items()[2].isObject());
+  EXPECT_EQ(Rows->items()[2].size(), 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Hostile strings round-trip through every sink
+//===----------------------------------------------------------------------===//
 
 TEST_F(TelemetryTest, HostileStringsRoundTripThroughChromeTrace) {
   trace::EnabledGuard G(true, false);

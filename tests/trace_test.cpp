@@ -4,7 +4,7 @@
 // annotations surviving to the Chrome-trace JSON sink, zero recording in
 // disabled mode, the schedule decision audit log (a known-rejected reorder
 // with its dependence reason), and snapshot() counters agreeing with the
-// legacy FT_STATS table.
+// FT_METRICS counter table.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,7 +18,6 @@
 #include "frontend/builder.h"
 #include "schedule/schedule.h"
 #include "support/metrics.h"
-#include "support/stats.h"
 #include "support/trace.h"
 
 using namespace ft;
@@ -237,12 +236,12 @@ TEST(TraceTest, AuditLogRecordsRejectedReorder) {
 }
 
 TEST(TraceTest, SnapshotCountersMatchLegacyStats) {
-  stats::reset();
+  metrics::resetPrefix("deps/");
   AntiDiagonal T = buildAntiDiagonal();
   Schedule S(T.F);
   (void)S.vectorize(T.Lj); // Issues dependence queries.
-  uint64_t Legacy = stats::counters().DepQueries.load();
-  ASSERT_GT(Legacy, 0u);
+  uint64_t Queries = metrics::counter("deps/dep_queries").load();
+  ASSERT_GT(Queries, 0u);
 
   // Programmatic snapshot sees the same value under the registry name.
   auto Snap = trace::snapshot();
@@ -254,30 +253,33 @@ TEST(TraceTest, SnapshotCountersMatchLegacyStats) {
       Found = true;
     }
   ASSERT_TRUE(Found);
-  EXPECT_EQ(FromSnapshot, Legacy);
+  EXPECT_EQ(FromSnapshot, Queries);
 
-  // And the legacy FT_STATS table prints the same number.
-  const char *Path = "/tmp/ft_stats_dump_test.txt";
+  // And the FT_METRICS=1 counter table prints the same number.
+  const char *Path = "/tmp/ft_metrics_summary_test.txt";
   std::FILE *F = std::fopen(Path, "w");
   ASSERT_NE(F, nullptr);
-  stats::dump(F);
+  trace::writeMetricsSummary(F);
   std::fclose(F);
   std::ifstream In(Path);
   std::stringstream Buf;
   Buf << In.rdbuf();
   std::string Table = Buf.str();
-  EXPECT_NE(
-      Table.find("dep queries (mayDepend):     " + std::to_string(Legacy)),
-      std::string::npos)
-      << Table;
   std::remove(Path);
+  size_t Row = Table.find("  deps/dep_queries ");
+  ASSERT_NE(Row, std::string::npos) << Table;
+  std::istringstream Line(Table.substr(Row, Table.find('\n', Row) - Row));
+  std::string Name;
+  uint64_t Printed = 0;
+  Line >> Name >> Printed;
+  EXPECT_EQ(Printed, Queries) << Table;
 }
 
 TEST(TraceTest, MetricsRegistryBasics) {
   metrics::Counter &C = metrics::counter("test/basics");
   metrics::Counter &Same = metrics::counter("test/basics");
   EXPECT_EQ(&C, &Same); // Stable identity per name.
-  C = 0;
+  C.store(0);
   C.fetch_add(3);
   EXPECT_EQ(C.load(), 3u);
   bool Seen = false;

@@ -3,7 +3,10 @@
 #
 # 1. The tier-1 line from ROADMAP.md: configure, build, run every test.
 # 2. Trace smoke: run a real workload with FT_TRACE and validate that the
-#    Chrome-trace JSON parses and covers every compiler layer.
+#    Chrome-trace JSON parses and covers every compiler layer; with
+#    FT_METRICS=1 the exit summary's counters section must list nonzero
+#    deps/dep_queries and deps/emptiness_queries, and FT_METRICS=0 must
+#    print no summary.
 # 3. Kernel-cache smoke: a cold ftc run must miss, a second run must hit
 #    the disk tier, and FT_CACHE=0 / --no-cache must compile fresh —
 #    against a private cache directory, plain and under ASan.
@@ -96,6 +99,18 @@ print(f"trace OK: {len(spans)} spans over {sorted(cats)}, "
       f"{len(audits)} audit events ({len(rejected)} rejected, all reasoned)")
 PYEOF
 rm -f "$TraceJson"
+MetricsOut="$(FT_METRICS=1 ./build/examples/example_subdivnet 2>&1 >/dev/null)"
+Counters="$(sed -n '/^=== FT_METRICS: counters ===$/,$p' <<<"$MetricsOut")"
+for Name in deps/dep_queries deps/emptiness_queries; do
+  grep -Eq "^  $Name +[1-9][0-9]*$" <<<"$Counters" ||
+    { echo "metrics smoke: no nonzero $Name in the FT_METRICS counters"
+      echo "$MetricsOut"; exit 1; }
+done
+MetricsOut="$(FT_METRICS=0 ./build/examples/example_subdivnet 2>&1)"
+if grep -q "^=== FT_METRICS" <<<"$MetricsOut"; then
+  echo "metrics smoke: FT_METRICS=0 still printed the summary"; exit 1
+fi
+echo "metrics OK: nonzero deps/ counters at FT_METRICS=1, silent at 0"
 
 echo "== profile smoke: FT_PROFILE on ftc subdivnet =="
 ProfileJson=/tmp/ft_check_profile.json
@@ -131,16 +146,16 @@ cache_smoke() {
   CacheDir="$(mktemp -d /tmp/ft_check_cache.XXXXXX)"
   local Out
   Out="$("$Ftc" --workload gat --run 1 --cache-dir "$CacheDir")"
-  echo "$Out" | grep -q "cache: miss" ||
+  grep -q "cache: miss" <<<"$Out" ||
     { echo "cache smoke: first run did not miss"; echo "$Out"; return 1; }
   Out="$("$Ftc" --workload gat --run 1 --cache-dir "$CacheDir")"
-  echo "$Out" | grep -q "cache: disk" ||
+  grep -q "cache: disk" <<<"$Out" ||
     { echo "cache smoke: second run did not hit disk"; echo "$Out"; return 1; }
   Out="$(FT_CACHE=0 "$Ftc" --workload gat --run 1 --cache-dir "$CacheDir")"
-  echo "$Out" | grep -q "cache: miss" ||
+  grep -q "cache: miss" <<<"$Out" ||
     { echo "cache smoke: FT_CACHE=0 did not miss"; echo "$Out"; return 1; }
   Out="$("$Ftc" --workload gat --run 1 --cache-dir "$CacheDir" --no-cache)"
-  echo "$Out" | grep -q "cache: miss" ||
+  grep -q "cache: miss" <<<"$Out" ||
     { echo "cache smoke: --no-cache did not miss"; echo "$Out"; return 1; }
   rm -rf "$CacheDir"
   echo "cache smoke OK: cold miss, warm disk hit, FT_CACHE=0 + --no-cache miss"
@@ -157,15 +172,15 @@ simd_smoke() {
   local Ftc="$1"
   local Src
   Src="$("$Ftc" --workload longformer --emit-cpp - --no-cache)"
-  echo "$Src" | grep -q "omp simd" ||
+  grep -q "omp simd" <<<"$Src" ||
     { echo "simd smoke: default emission has no omp simd pragma"; return 1; }
-  echo "$Src" | grep -q "__restrict__" ||
+  grep -q "__restrict__" <<<"$Src" ||
     { echo "simd smoke: default emission has no __restrict__ params"; return 1; }
   Src="$("$Ftc" --workload longformer --emit-cpp - --no-cache \
     --vectorize-width 0)"
-  echo "$Src" | grep -q "ivdep" ||
+  grep -q "ivdep" <<<"$Src" ||
     { echo "simd smoke: width-0 emission lost the ivdep hint"; return 1; }
-  if echo "$Src" | grep -q "omp simd"; then
+  if grep -q "omp simd" <<<"$Src"; then
     echo "simd smoke: width-0 emission still carries omp simd"; return 1
   fi
   echo "simd smoke OK: default -> omp simd + __restrict__, width 0 -> ivdep"
@@ -187,10 +202,10 @@ dynshape_smoke() {
   Out="$(FT_CACHE_DIR="$CacheDir" FT_SPECIALIZE_AFTER=4 \
     "$Ftc" --dyn --workload subdivnet --serve 12 --shapes 8)" ||
     { echo "dynshape smoke: ftc --dyn failed"; echo "$Out"; return 1; }
-  echo "$Out" | grep -q "dynshape: summary shapes=8 generic_compiles=1 " ||
+  grep -q "dynshape: summary shapes=8 generic_compiles=1 " <<<"$Out" ||
     { echo "dynshape smoke: 8 shapes did not amortize to one generic compile"
       echo "$Out"; return 1; }
-  echo "$Out" | grep -q "promoted=1 differential=ok" ||
+  grep -q "promoted=1 differential=ok" <<<"$Out" ||
     { echo "dynshape smoke: hot bucket not promoted or differential failed"
       echo "$Out"; return 1; }
   rm -rf "$CacheDir"
@@ -211,13 +226,13 @@ sparse_smoke() {
   Out="$("$Ftc" --check-schedule --workload spmm)" ||
     { echo "sparse smoke: ftc --check-schedule failed"; echo "$Out"
       return 1; }
-  echo "$Out" | grep -q "parallelize rows applied=1" ||
+  grep -q "parallelize rows applied=1" <<<"$Out" ||
     { echo "sparse smoke: row-loop parallelize not accepted in audit log"
       echo "$Out"; return 1; }
-  echo "$Out" | grep -q "vectorize spmm_seg applied=0" ||
+  grep -q "vectorize spmm_seg applied=0" <<<"$Out" ||
     { echo "sparse smoke: segment-loop vectorize not rejected in audit log"
       echo "$Out"; return 1; }
-  echo "$Out" | grep -q "data-dependent" ||
+  grep -q "data-dependent" <<<"$Out" ||
     { echo "sparse smoke: vectorize rejection lost its reason"
       echo "$Out"; return 1; }
   echo "sparse smoke OK: parallelize(rows) accepted," \
@@ -341,9 +356,9 @@ print(f"telemetry snapshots OK: {len(names)} files, "
 PYEOF
   local TopOut
   TopOut="$("$Ftc" --top --telemetry-dir "$TelDir/snaps")"
-  echo "$TopOut" | grep -q "schema freetensor-telemetry/v2" ||
+  grep -q "schema freetensor-telemetry/v2" <<<"$TopOut" ||
     { echo "telemetry smoke: --top lost the schema"; echo "$TopOut"; return 1; }
-  echo "$TopOut" | grep -q "FINGERPRINT" ||
+  grep -q "FINGERPRINT" <<<"$TopOut" ||
     { echo "telemetry smoke: --top shows no kernel table"; echo "$TopOut"
       return 1; }
   # A truncated (partially-written) snapshot must be skipped with a
@@ -353,10 +368,10 @@ PYEOF
   FirstSnap="$(ls "$TelDir/snaps"/snap-*.json | head -1)"
   head -c 80 "$FirstSnap" > "$TelDir/snaps/snap-zzz-truncated.json"
   TopOut="$("$Ftc" --top --telemetry-dir "$TelDir/snaps" 2>&1)"
-  echo "$TopOut" | grep -q "skipping snap-zzz-truncated.json" ||
+  grep -q "skipping snap-zzz-truncated.json" <<<"$TopOut" ||
     { echo "telemetry smoke: --top did not warn about truncated snapshot"
       echo "$TopOut"; return 1; }
-  echo "$TopOut" | grep -q "FINGERPRINT" ||
+  grep -q "FINGERPRINT" <<<"$TopOut" ||
     { echo "telemetry smoke: --top aborted on truncated snapshot"
       echo "$TopOut"; return 1; }
   rm -rf "$TelDir"
@@ -427,12 +442,12 @@ print(f"correlation OK: {len(reqs)} request spans with ids, "
 PYEOF
   local AdvOut
   AdvOut="$("$Ftc" --advise --telemetry-dir "$Dir/snaps")"
-  echo "$AdvOut" | grep -q "specialize" ||
+  grep -q "specialize" <<<"$AdvOut" ||
     { echo "correlation smoke: --advise printed no nomination"
       echo "$AdvOut"; return 1; }
   local TopOut
   TopOut="$("$Ftc" --top --telemetry-dir "$Dir/snaps")"
-  echo "$TopOut" | grep -q "deadline met" ||
+  grep -q "deadline met" <<<"$TopOut" ||
     { echo "correlation smoke: --top shows no SLO line"; echo "$TopOut"
       return 1; }
   rm -rf "$Dir"
