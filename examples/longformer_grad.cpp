@@ -34,7 +34,11 @@ int main() {
               G->Tapes.size());
   for (const std::string &T : G->Tapes)
     std::printf(" %s", T.c_str());
-  std::printf("\n(everything else is recomputed in the backward pass)\n");
+  std::printf("\n");
+  for (const RecomputeDecision &D : G->Decisions)
+    std::printf("  %s %s: recompute cost %.4g, tape cost %.4g\n",
+                D.Tensor.c_str(), D.Recomputed ? "recomputed" : "taped",
+                D.RecomputeCost, D.MaterializeCost);
 
   auto FwdK = Kernel::compile(autoScheduleFunc(G->Forward));
   auto BwdK = Kernel::compile(autoScheduleFunc(G->Backward));

@@ -20,9 +20,36 @@ namespace {
 std::string gradNameOf(const std::string &N) { return N + ".grad"; }
 std::string tapeNameOf(const std::string &N) { return N + ".tape"; }
 
-/// Counts non-leaf expression nodes and loads (the recompute cost model).
-/// Transcendental intrinsics are weighted heavily: recomputing an exp()
-/// per backward use is always worse than one tape load (§5.2's balance).
+/// Extent assumed for a loop or dimension that is not a compile-time
+/// constant (the pessimistic span tilePlans assumes).
+constexpr double kSymbolicExtent = 64;
+
+/// Deepest nesting of recomputed values one backward load may inline.
+/// Planning tapes a link before a chain gets deeper than this.
+constexpr int kMaxInlineDepth = 16;
+
+/// Cost of one tape store or load relative to one op or cached load, by
+/// the tape's footprint class: within L1, within L2 (the cache sizes
+/// tilePlans ranks tiles by), or beyond.
+double tapeAccessCost(double TapeBytes) {
+  constexpr double kL1Bytes = 32 * 1024.0;
+  constexpr double kL2Bytes = 256 * 1024.0;
+  if (TapeBytes <= kL1Bytes)
+    return 4;
+  if (TapeBytes <= kL2Bytes)
+    return 8;
+  return 16;
+}
+
+/// The value of a constant extent, else kSymbolicExtent.
+double extentOf(const Expr &E) {
+  auto C = dyn_cast<IntConstNode>(constFold(E));
+  return C ? double(std::max<int64_t>(C->Val, 0)) : kSymbolicExtent;
+}
+
+/// Counts non-leaf expression nodes and loads: the cost of evaluating an
+/// expression once. Transcendental intrinsics are weighted heavily, so
+/// recomputing an exp() per backward use loses to one tape load (§5.2).
 void countExpr(const Expr &E, int *Ops, int *Loads) {
   switch (E->kind()) {
   case NodeKind::Load: {
@@ -269,6 +296,7 @@ struct TensorMeta {
   std::vector<Ref<ForNode>> StoreInnerLoops; ///< Loops around the single
                                              ///  Store, inside the VarDef.
   Ref<StoreNode> SingleStore;
+  int StoreOrder = -1; ///< Position of the last Store in program order.
   int NumStores = 0;
   bool HasReduce = false;
   bool HasNonAddReduce = false;
@@ -299,6 +327,7 @@ public:
       return S;
 
     GradResult Out;
+    Out.Decisions = std::move(Decisions);
     if (Status S = buildForward(&Out); !S)
       return S;
     if (Status S = buildBackward(&Out); !S)
@@ -347,6 +376,7 @@ private:
       TensorMeta &M = It->second;
       ++M.NumStores;
       M.SingleStore = St;
+      M.StoreOrder = NumStoresSeen++;
       M.StoreInnerLoops.assign(LoopStack.begin() + M.ScopeLoops.size(),
                                LoopStack.end());
       if (IfDepth > IfDepthAtDef[St->Var])
@@ -412,28 +442,64 @@ private:
 
   //===-- Materialization planning (paper §5.2) ---------------------------===//
 
+  /// A recompute candidate and its costs under the current plan.
+  struct Candidate {
+    std::string Name;
+    double OpsLoads = 0;            ///< countExpr of the RHS.
+    std::vector<std::string> Reads; ///< Intermediates the RHS loads, with
+                                    ///  multiplicity.
+    double Uses = 0; ///< Evaluations at its own backward uses.
+    double TapeElems = 0;
+    double TapeBytes = 0;
+    double PerEval = 0; ///< One evaluation, recomputed operands inlined.
+    double Evals = 0;   ///< Backward evaluations.
+    int Depth = 0;      ///< Recomputed values one evaluation nests.
+
+    double recomputeCost() const { return Evals * PerEval; }
+    double materializeCost() const {
+      return TapeElems * 2 * tapeAccessCost(TapeBytes) + Evals;
+    }
+  };
+
+  /// Marks the intermediates \p E reads as needed by the backward pass,
+  /// each read once per iteration of the \p Trips loop iterations around
+  /// the use.
+  void addUses(const Expr &E, double Trips) {
+    std::vector<Ref<LoadNode>> Loads;
+    collectLoads(E, Loads);
+    for (const auto &L : Loads)
+      if (isCache(L->Var)) {
+        Needed.insert(L->Var);
+        Uses[L->Var] += Trips;
+      }
+  }
+
   Status planMaterialization() {
     // Seed: values appearing in derivative expressions of differentiable
-    // writes, plus index expressions of gradient targets.
-    std::function<void(const Stmt &)> Scan = [&](const Stmt &S) {
+    // writes, plus index expressions of gradient targets, with the trip
+    // count of the loops around each use.
+    std::function<void(const Stmt &, double)> Scan = [&](const Stmt &S,
+                                                         double Trips) {
       switch (S->kind()) {
       case NodeKind::StmtSeq:
         for (const Stmt &Sub : cast<StmtSeqNode>(S)->Stmts)
-          Scan(Sub);
+          Scan(Sub, Trips);
         return;
       case NodeKind::VarDef:
-        Scan(cast<VarDefNode>(S)->Body);
+        Scan(cast<VarDefNode>(S)->Body, Trips);
         return;
-      case NodeKind::For:
-        Scan(cast<ForNode>(S)->Body);
+      case NodeKind::For: {
+        auto L = cast<ForNode>(S);
+        Scan(L->Body, Trips * extentOf(makeSub(L->End, L->Begin)));
         return;
+      }
       case NodeKind::If: {
         auto I = cast<IfNode>(S);
         // Branch conditions re-evaluate in the backward pass.
-        addNeededLoads(I->Cond);
-        Scan(I->Then);
+        addUses(I->Cond, Trips);
+        Scan(I->Then, Trips);
         if (I->Else)
-          Scan(I->Else);
+          Scan(I->Else, Trips);
         return;
       }
       case NodeKind::Store:
@@ -460,13 +526,13 @@ private:
         for (const LoadDeriv &D : Derivs) {
           if (!differentiable(D.Load->Var))
             continue;
-          addNeededLoads(D.Deriv);
+          addUses(D.Deriv, Trips);
           // The load's own indices are re-evaluated for the accumulation.
           for (const Expr &I : D.Load->Indices)
-            addNeededLoads(I);
+            addUses(I, Trips);
         }
         for (const Expr &I : Indices)
-          addNeededLoads(I);
+          addUses(I, Trips);
         return;
       }
       case NodeKind::GemmCall: {
@@ -481,46 +547,161 @@ private:
         return;
       }
     };
-    Scan(F.Body);
+    Scan(F.Body, 1);
 
-    // Fixpoint: decide tape vs recompute; recompute adds its RHS's loads.
+    // Selective starts by recomputing every candidate the backward pass
+    // can reach, directly or through another candidate's RHS: a value one
+    // unguarded store defines from pure-iterator indices, with no
+    // reduction.
+    std::vector<Candidate> Cands;
+    if (Strategy == TapeStrategy::Selective) {
+      std::set<std::string> Seen;
+      std::vector<std::string> Work(Needed.begin(), Needed.end());
+      while (!Work.empty()) {
+        std::string T = Work.back();
+        Work.pop_back();
+        if (!isCache(T) || !Seen.insert(T).second)
+          continue;
+        const TensorMeta &M = Meta.at(T);
+        if (M.NumStores != 1 || M.HasReduce || M.StoreGuarded ||
+            !storeIdxPureIters(M))
+          continue;
+        Candidate C;
+        C.Name = T;
+        C.Uses = Uses[T];
+        int Ops = 0, Loads = 0;
+        countExpr(M.SingleStore->Value, &Ops, &Loads);
+        C.OpsLoads = Ops + Loads;
+        std::vector<Ref<LoadNode>> Reads;
+        collectLoads(M.SingleStore->Value, Reads);
+        for (const auto &L : Reads)
+          if (isCache(L->Var)) {
+            C.Reads.push_back(L->Var);
+            Work.push_back(L->Var);
+          }
+        C.TapeElems = 1;
+        for (const Expr &D : tapeShapeOf(T))
+          C.TapeElems *= extentOf(D);
+        C.TapeBytes = C.TapeElems * sizeOf(M.Def->Info.Dtype);
+        Cands.push_back(std::move(C));
+        Recomputed.insert(T);
+      }
+      // Program order of the stores: operands before the values they feed.
+      std::sort(Cands.begin(), Cands.end(),
+                [&](const Candidate &A, const Candidate &B) {
+                  return Meta.at(A.Name).StoreOrder <
+                         Meta.at(B.Name).StoreOrder;
+                });
+    }
+
+    // Tape the worst recompute and re-price, until every recomputed value
+    // costs less than its tape and nests at most kMaxInlineDepth levels.
+    std::map<std::string, size_t> Index;
+    for (size_t I = 0; I < Cands.size(); ++I)
+      Index[Cands[I].Name] = I;
+    while (true) {
+      priceCandidates(Cands, Index);
+      const Candidate *Worst = nullptr;
+      for (const Candidate &C : Cands) {
+        if (!Recomputed.count(C.Name))
+          continue;
+        // The first link past the depth limit: taping it cuts every chain
+        // through it.
+        if (C.Depth > kMaxInlineDepth) {
+          Worst = &C;
+          break;
+        }
+        double Excess = C.recomputeCost() - C.materializeCost();
+        if (Excess >= 0 &&
+            (!Worst ||
+             Excess > Worst->recomputeCost() - Worst->materializeCost()))
+          Worst = &C;
+      }
+      if (!Worst)
+        break;
+      Recomputed.erase(Worst->Name);
+    }
+
+    // The backward pass reads the seeds and, transitively, what recomputed
+    // values read; of those, every intermediate not recomputed is taped.
     std::vector<std::string> Work(Needed.begin(), Needed.end());
     while (!Work.empty()) {
       std::string T = Work.back();
       Work.pop_back();
-      if (!isCache(T) || Materialized.count(T) || Recomputed.count(T))
+      if (!Recomputed.count(T))
         continue;
-      const TensorMeta &M = Meta.at(T);
-      bool CanRecompute = M.NumStores == 1 && !M.HasReduce &&
-                          !M.StoreGuarded && storeIdxPureIters(M);
-      bool Cheap = false;
-      if (CanRecompute) {
-        int Ops = 0, Loads = 0;
-        countExpr(M.SingleStore->Value, &Ops, &Loads);
-        Cheap = Ops <= 24 && Loads <= 20;
-      }
-      if (Strategy == TapeStrategy::Selective && CanRecompute && Cheap) {
-        Recomputed.insert(T);
-        std::vector<Ref<LoadNode>> Loads;
-        collectLoads(M.SingleStore->Value, Loads);
-        for (const auto &L : Loads)
-          if (isCache(L->Var) && !Needed.count(L->Var)) {
-            Needed.insert(L->Var);
-            Work.push_back(L->Var);
-          }
-        continue;
-      }
-      Materialized.insert(T);
+      for (const std::string &R : Cands[Index.at(T)].Reads)
+        if (Needed.insert(R).second)
+          Work.push_back(R);
     }
+    std::erase_if(Recomputed,
+                  [&](const std::string &T) { return !Needed.count(T); });
+    for (const std::string &T : Needed)
+      if (isCache(T) && !Recomputed.count(T))
+        Materialized.insert(T);
+
+    for (const Candidate &C : Cands)
+      if (Needed.count(C.Name))
+        recordChoice(C);
     return Status::success();
   }
 
-  void addNeededLoads(const Expr &E) {
-    std::vector<Ref<LoadNode>> Loads;
-    collectLoads(E, Loads);
-    for (const auto &L : Loads)
-      if (isCache(L->Var))
-        Needed.insert(L->Var);
+  /// Prices every candidate under the current Recomputed set. \p Cands is
+  /// in store order, so a recomputed operand is priced before its reader
+  /// and a reader's evaluations are final before they reach its operands.
+  void priceCandidates(std::vector<Candidate> &Cands,
+                       const std::map<std::string, size_t> &Index) const {
+    for (size_t I = 0; I < Cands.size(); ++I) {
+      Candidate &C = Cands[I];
+      C.PerEval = C.OpsLoads;
+      C.Evals = C.Uses;
+      int Deepest = 0;
+      for (const std::string &R : C.Reads) {
+        if (!Recomputed.count(R))
+          continue;
+        size_t J = Index.at(R);
+        if (J >= I) { // Read before it is stored: inlining would not end.
+          Deepest = kMaxInlineDepth;
+          continue;
+        }
+        C.PerEval += Cands[J].PerEval - 1; // Its RHS replaces one load.
+        Deepest = std::max(Deepest, Cands[J].Depth);
+      }
+      C.Depth = Deepest + 1;
+    }
+    for (size_t I = Cands.size(); I-- > 0;) {
+      if (!Recomputed.count(Cands[I].Name))
+        continue;
+      for (const std::string &R : Cands[I].Reads) {
+        auto It = Index.find(R);
+        if (It != Index.end() && It->second < I)
+          Cands[It->second].Evals += Cands[I].Evals;
+      }
+    }
+  }
+
+  /// Reports one decision in the result and the audit log.
+  void recordChoice(const Candidate &C) {
+    // Clamped: an estimate over symbolic extents can exceed uint64_t.
+    RecomputeDecision D{C.Name,
+                        Recomputed.count(C.Name) > 0,
+                        C.recomputeCost(),
+                        C.materializeCost(),
+                        static_cast<uint64_t>(std::min(C.TapeBytes, 1e18)),
+                        Meta.at(C.Name).SingleStore->Id};
+    if (trace::auditEnabled()) {
+      char Costs[96];
+      std::snprintf(Costs, sizeof(Costs), "recompute %.4g vs materialize %.4g",
+                    D.RecomputeCost, D.MaterializeCost);
+      trace::ScheduleDecision A;
+      A.Primitive = "grad/recompute";
+      A.Target = D.Tensor;
+      A.Applied = D.Recomputed;
+      A.Reason = Costs;
+      A.StmtIds = {D.StoreId};
+      trace::recordDecision(std::move(A));
+    }
+    Decisions.push_back(std::move(D));
   }
 
   //===-- Structural validation -------------------------------------------===//
@@ -661,18 +842,15 @@ private:
   //===-- Backward pass -----------------------------------------------------===//
 
   /// Replaces loads of intermediate tensors by their tape entries or their
-  /// inlined recomputation.
-  Expr resolveValue(const Expr &E, int Depth = 0) {
-    if (Depth > 16) {
-      Fail = Status::error("grad: recompute recursion too deep");
-      return E;
-    }
+  /// inlined recomputation. \p Inlined counts the recomputed values being
+  /// expanded around \p E; planning keeps it within kMaxInlineDepth.
+  Expr resolveValue(const Expr &E, int Inlined = 0) {
     switch (E->kind()) {
     case NodeKind::Load: {
       auto L = cast<LoadNode>(E);
       std::vector<Expr> Idx;
       for (const Expr &I : L->Indices)
-        Idx.push_back(resolveValue(I, Depth + 1));
+        Idx.push_back(resolveValue(I, Inlined));
       if (!isCache(L->Var))
         return makeLoad(L->Var, Idx, L->Dtype);
       if (Materialized.count(L->Var)) {
@@ -684,11 +862,15 @@ private:
         return makeLoad(tapeNameOf(L->Var), Full, L->Dtype);
       }
       if (Recomputed.count(L->Var)) {
+        if (Inlined == kMaxInlineDepth) {
+          Fail = Status::error("grad: recompute recursion too deep");
+          return E;
+        }
         const TensorMeta &M = Meta.at(L->Var);
         Expr V = M.SingleStore->Value;
         for (size_t I = 0; I < M.StoreInnerLoops.size(); ++I)
           V = substituteIter(V, M.StoreInnerLoops[I]->Iter, Idx[I]);
-        return resolveValue(V, Depth + 1);
+        return resolveValue(V, Inlined + 1);
       }
       Fail = Status::error("grad: value of `" + L->Var +
                            "` is needed by the backward pass but was "
@@ -697,21 +879,21 @@ private:
     }
     case NodeKind::Binary: {
       auto B = cast<BinaryNode>(E);
-      return makeBinary(B->Op, resolveValue(B->LHS, Depth + 1),
-                        resolveValue(B->RHS, Depth + 1));
+      return makeBinary(B->Op, resolveValue(B->LHS, Inlined),
+                        resolveValue(B->RHS, Inlined));
     }
     case NodeKind::Unary:
       return makeUnary(cast<UnaryNode>(E)->Op,
-                       resolveValue(cast<UnaryNode>(E)->Operand, Depth + 1));
+                       resolveValue(cast<UnaryNode>(E)->Operand, Inlined));
     case NodeKind::IfExpr: {
       auto IE = cast<IfExprNode>(E);
-      return makeIfExpr(resolveValue(IE->Cond, Depth + 1),
-                        resolveValue(IE->Then, Depth + 1),
-                        resolveValue(IE->Else, Depth + 1));
+      return makeIfExpr(resolveValue(IE->Cond, Inlined),
+                        resolveValue(IE->Then, Inlined),
+                        resolveValue(IE->Else, Inlined));
     }
     case NodeKind::Cast:
       return makeCast(cast<CastNode>(E)->Dtype,
-                      resolveValue(cast<CastNode>(E)->Operand, Depth + 1));
+                      resolveValue(cast<CastNode>(E)->Operand, Inlined));
     default:
       return E;
     }
@@ -939,10 +1121,14 @@ private:
   std::map<std::string, TensorMeta> Meta;
   std::map<std::string, int> IfDepthAtDef;
   std::set<std::string> Needed;
+  std::map<std::string, double> Uses; ///< Backward evaluations at derivative
+                                      ///  use sites, per intermediate.
   std::set<std::string> Materialized;
   std::set<std::string> Recomputed;
+  std::vector<RecomputeDecision> Decisions;
   Status Fail;
   int FreshCounter = 0;
+  int NumStoresSeen = 0;
 };
 
 } // namespace

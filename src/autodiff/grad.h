@@ -10,7 +10,9 @@
 /// the loops enclosing the tensor's VarDef, i.e. a compile-time symbolic
 /// version number (§5.1) — or *recomputed* inline in the backward pass
 /// (§5.2, Fig. 15(c)). The TapeStrategy selects between materialize-all
-/// (the FT(−) configuration of Fig. 18) and the selective policy (FT(+)).
+/// (the FT(−) configuration of Fig. 18) and the selective policy (FT(+)),
+/// which prices both choices per value from loop trip counts and the
+/// tape's footprint (DESIGN.md §5).
 ///
 /// Supported program class (checked, not assumed — violations produce a
 /// diagnostic): within one instantiation of a tensor's VarDef each element
@@ -35,7 +37,24 @@ namespace ft {
 /// Intermediate-tensor policy for the backward pass.
 enum class TapeStrategy {
   All,       ///< Materialize every needed intermediate (FT(−) in Fig. 18).
-  Selective, ///< Recompute cheap values, materialize the rest (FT(+)).
+  Selective, ///< Recompute where that costs less than a tape (FT(+)).
+};
+
+/// One Selective tape-or-recompute decision. Costs are in units of one
+/// arithmetic op or one cached load; trip counts come from constant loop
+/// extents, with 64 standing in for a symbolic one.
+struct RecomputeDecision {
+  std::string Tensor;
+  bool Recomputed = false;
+  /// Backward evaluations of the value times the ops and loads of one
+  /// evaluation (recomputed operands inlined).
+  double RecomputeCost = 0;
+  /// Tape elements times one forward store plus one backward load,
+  /// weighted by the tape's footprint class, plus one tape load per
+  /// backward evaluation.
+  double MaterializeCost = 0;
+  uint64_t TapeBytes = 0; ///< What the tape takes, or would take.
+  int64_t StoreId = -1;   ///< The Store that defines the value.
 };
 
 /// The differentiated program pair.
@@ -73,6 +92,11 @@ struct GradResult {
 
   /// Original output -> its gradient-seed parameter name.
   std::map<std::string, std::string> SeedNames;
+
+  /// Every value Selective priced, in the program order of their stores;
+  /// empty under All. Each is also written to the audit log as a
+  /// "grad/recompute" decision.
+  std::vector<RecomputeDecision> Decisions;
 };
 
 /// Differentiates \p F with respect to the Input parameters listed in

@@ -173,7 +173,9 @@ struct ScheduleDecision {
   std::string Primitive; ///< e.g. "reorder".
   std::string Target;    ///< Operand summary, e.g. "loops [3, 5]".
   bool Applied = false;
-  std::string Reason; ///< Rejection diagnostic; empty when applied.
+  /// Rejection diagnostic, empty when applied; "grad/recompute" entries
+  /// hold their recompute and materialize costs either way.
+  std::string Reason;
   uint64_t DepQueries = 0;       ///< mayDepend calls the check issued.
   uint64_t EmptinessQueries = 0; ///< AffineSet::isEmpty calls issued.
   double DurUs = 0;              ///< Wall-clock microseconds.

@@ -13,6 +13,7 @@
 #include "frontend/libop.h"
 #include "interp/interp.h"
 #include "ir/printer.h"
+#include "support/trace.h"
 
 using namespace ft;
 
@@ -300,6 +301,124 @@ TEST(AutodiffTest, GemmCallGradient) {
   GC.Inputs = {"A", "B"};
   GC.Outputs = {"C"};
   runGradCheck(GC, TapeStrategy::Selective);
+}
+
+//===--------------------------------------------------------------------===//
+// Tape or recompute, priced by trip counts.
+//===--------------------------------------------------------------------===//
+
+/// y[i] = t_K with t_0 = x[i] and t_k = t_{k-1} * t_{k-1} - Shift, each
+/// link a scalar local of the i loop.
+GradCheck buildSquareChain(int Links, double Shift) {
+  const int64_t N = 4;
+  FunctionBuilder B("chain" + std::to_string(Links));
+  View X = B.input("x", {makeIntConst(N)});
+  View Y = B.output("y", {makeIntConst(N)});
+  B.loop("i", 0, N, [&](Expr I) {
+    Expr Prev = X[I].load();
+    for (int K = 1; K <= Links; ++K) {
+      View T = B.local("t" + std::to_string(K), {});
+      T.assign(Prev * Prev - makeFloatConst(Shift));
+      Prev = T.load();
+    }
+    Y[I].assign(Prev);
+  });
+  GradCheck GC;
+  GC.F = B.build();
+  GC.Shapes = {{"x", {N}}, {"y", {N}}};
+  GC.Inputs = {"x"};
+  GC.Outputs = {"y"};
+  return GC;
+}
+
+TEST(AutodiffTest, SixLinkChainBothStrategies) {
+  runGradCheck(buildSquareChain(6, 0.5), TapeStrategy::Selective, 1e-3);
+  runGradCheck(buildSquareChain(6, 0.5), TapeStrategy::All, 1e-3);
+}
+
+TEST(AutodiffTest, TwentyLinkChainBothStrategies) {
+  runGradCheck(buildSquareChain(20, 0.5), TapeStrategy::Selective, 1e-3);
+  runGradCheck(buildSquareChain(20, 0.5), TapeStrategy::All, 1e-3);
+}
+
+TEST(AutodiffTest, ChainRecomputeDoesNotGrowExponentially) {
+  // Inlining link k copies link k-1 twice: recomputing all of them would
+  // emit 2^8 copies of x. Pricing the chain recursively tapes links before
+  // the backward pass outgrows materialize-all's.
+  GradCheck GC = buildSquareChain(8, 0.0);
+  auto GSel = grad(GC.F, GC.Inputs, TapeStrategy::Selective);
+  auto GAll = grad(GC.F, GC.Inputs, TapeStrategy::All);
+  ASSERT_TRUE(GSel.ok() && GAll.ok()) << GSel.message() << GAll.message();
+  EXPECT_LE(toString(GSel->Backward.Body).size(),
+            toString(GAll->Backward.Body).size());
+  EXPECT_FALSE(GSel->Tapes.empty());
+}
+
+/// for i: t = a[i] * b[i]; for p in 0:P: y[i, p] = t * c[p] — the
+/// backward pass reads t once per p.
+GradCheck buildInnerUse(int64_t P) {
+  const int64_t N = 3;
+  FunctionBuilder B("inner_use");
+  View A = B.input("a", {makeIntConst(N)});
+  View Bv = B.input("b", {makeIntConst(N)});
+  View C = B.input("c", {makeIntConst(P)});
+  View Y = B.output("y", {makeIntConst(N), makeIntConst(P)});
+  B.loop("i", 0, N, [&](Expr I) {
+    View T = B.local("t", {});
+    T.assign(A[I].load() * Bv[I].load());
+    B.loop("p", 0, P,
+           [&](Expr Pp) { Y[I][Pp].assign(T.load() * C[Pp].load()); });
+  });
+  GradCheck GC;
+  GC.F = B.build();
+  GC.Shapes = {{"a", {N}}, {"b", {N}}, {"c", {P}}, {"y", {N, P}}};
+  GC.Inputs = {"a", "b", "c"};
+  GC.Outputs = {"y"};
+  return GC;
+}
+
+TEST(AutodiffTest, InnerLoopTripsDecideAndAuditTapeOrRecompute) {
+  // At 3 trips, recompute costs 3 x 3 evaluations x (1 op + 2 loads) = 27
+  // against a 12-byte tape: 3 elements x (store + load) x 4 + 9 loads =
+  // 33. At 8 trips it is 72 against 48, so t is taped.
+  trace::AuditGuard Audit;
+  for (int64_t P : {3, 8}) {
+    GradCheck GC = buildInnerUse(P);
+    runGradCheck(GC, TapeStrategy::Selective);
+    const size_t Mark = trace::auditSize();
+    auto G = grad(GC.F, GC.Inputs);
+    ASSERT_TRUE(G.ok()) << G.message();
+    EXPECT_EQ(G->Tapes, P == 3 ? std::vector<std::string>{}
+                               : std::vector<std::string>{"t.tape"});
+    auto Log = trace::auditLogSince(Mark);
+    ASSERT_EQ(G->Decisions.size(), 1u);
+    ASSERT_EQ(Log.size(), 1u);
+
+    const RecomputeDecision &D = G->Decisions[0];
+    EXPECT_EQ(D.Tensor, "t");
+    EXPECT_EQ(D.Recomputed, P == 3);
+    EXPECT_EQ(D.RecomputeCost, P == 3 ? 27 : 72);
+    EXPECT_EQ(D.MaterializeCost, P == 3 ? 33 : 48);
+    EXPECT_EQ(D.TapeBytes, 12u);
+    Stmt Def = findStmt(GC.F.Body, D.StoreId);
+    ASSERT_NE(Def, nullptr);
+    ASSERT_TRUE(isa<StoreNode>(Def));
+    EXPECT_EQ(cast<StoreNode>(Def)->Var, "t");
+
+    const trace::ScheduleDecision &A = Log[0];
+    EXPECT_EQ(A.Primitive, "grad/recompute");
+    EXPECT_EQ(A.Target, "t");
+    EXPECT_EQ(A.Applied, D.Recomputed);
+    EXPECT_EQ(A.Reason, P == 3 ? "recompute 27 vs materialize 33"
+                               : "recompute 72 vs materialize 48");
+    EXPECT_EQ(A.StmtIds, std::vector<int64_t>{D.StoreId});
+  }
+  // Materialize-all decides nothing.
+  const size_t Mark = trace::auditSize();
+  auto GAll = grad(buildInnerUse(3).F, {"a", "b", "c"}, TapeStrategy::All);
+  ASSERT_TRUE(GAll.ok());
+  EXPECT_TRUE(GAll->Decisions.empty());
+  EXPECT_EQ(trace::auditSize(), Mark);
 }
 
 //===--------------------------------------------------------------------===//

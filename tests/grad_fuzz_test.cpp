@@ -89,6 +89,49 @@ GenProgram makeProgram(uint64_t Seed) {
   return P;
 }
 
+/// Generates the Longformer shape: a per-(row, column) temporary that the
+/// backward pass reads inside a deeper inner loop, once per inner trip.
+/// Trip counts and the temporary's cost vary so that Selective tapes it
+/// for some seeds and recomputes it for others.
+GenProgram makeInnerUseProgram(uint64_t Seed) {
+  Rng R(Seed);
+  const int64_t N = R.range(2, 5);
+  const int64_t M = R.range(2, 5);
+  const int64_t Inner = R.range(1, 8);
+  FunctionBuilder B("gfuzz_inner" + std::to_string(Seed));
+  View A = B.input("a", {makeIntConst(N), makeIntConst(M)});
+  View Bv = B.input("b", {makeIntConst(N)});
+  View C = B.input("c", {makeIntConst(M), makeIntConst(Inner)});
+  View Y = B.output("y", {makeIntConst(N), makeIntConst(Inner)});
+
+  B.loop("i", 0, N, [&](Expr I) {
+    B.loop("p", 0, Inner, [&](Expr Pp) { Y[I][Pp].assign(0.0); });
+    B.loop("j", 0, M, [&](Expr J) {
+      View T = B.local("t", {});
+      switch (R.range(0, 3)) {
+      case 0:
+        T.assign(A[I][J].load() * makeFloatConst(0.5));
+        break;
+      case 1:
+        T.assign(A[I][J].load() * Bv[I].load());
+        break;
+      default:
+        T.assign(A[I][J].load() * Bv[I].load() + makeFloatConst(0.25));
+        break;
+      }
+      B.loop("p", 0, Inner, [&](Expr Pp) {
+        Y[I][Pp] += T.load() * C[J][Pp].load();
+      });
+    });
+  });
+
+  GenProgram P;
+  P.F = B.build();
+  P.Shapes = {
+      {"a", {N, M}}, {"b", {N}}, {"c", {M, Inner}}, {"y", {N, Inner}}};
+  return P;
+}
+
 void fillBuf(Buffer &B, uint64_t Seed) {
   Rng R(Seed);
   for (int64_t I = 0; I < B.numel(); ++I)
@@ -106,23 +149,24 @@ double primalLoss(const GenProgram &P, std::map<std::string, Buffer> FD) {
   return L;
 }
 
-class GradFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(GradFuzz, GradMatchesFiniteDifferencesBothStrategies) {
-  uint64_t Seed = static_cast<uint64_t>(GetParam());
-  GenProgram P = makeProgram(Seed);
-
+/// Checks grad() of \p P w.r.t. every input (each shape but "y") under
+/// both strategies against finite differences and against each other.
+void checkBothStrategies(const GenProgram &P, uint64_t Seed) {
+  std::vector<std::string> Wrt;
   std::map<std::string, Buffer> Primal;
-  Primal.emplace("a", Buffer(DataType::Float32, P.Shapes.at("a")));
-  Primal.emplace("b", Buffer(DataType::Float32, P.Shapes.at("b")));
-  Primal.emplace("y", Buffer(DataType::Float32, P.Shapes.at("y")));
-  fillBuf(Primal.at("a"), Seed + 1);
-  fillBuf(Primal.at("b"), Seed + 2);
+  uint64_t FillSeed = Seed;
+  for (const auto &[Name, Shape] : P.Shapes) {
+    Primal.emplace(Name, Buffer(DataType::Float32, Shape));
+    if (Name == "y")
+      continue;
+    Wrt.push_back(Name);
+    fillBuf(Primal.at(Name), ++FillSeed);
+  }
 
   std::map<std::string, std::vector<float>> GradsByStrategy;
   for (TapeStrategy Strategy :
        {TapeStrategy::Selective, TapeStrategy::All}) {
-    auto G = grad(P.F, {"a", "b"}, Strategy);
+    auto G = grad(P.F, Wrt, Strategy);
     ASSERT_TRUE(G.ok()) << "seed " << Seed << ": " << G.message();
 
     std::map<std::string, Buffer> Store = Primal;
@@ -137,7 +181,7 @@ TEST_P(GradFuzz, GradMatchesFiniteDifferencesBothStrategies) {
     for (int64_t I = 0; I < SeedBuf.numel(); ++I)
       SeedBuf.setF(I, 1.0);
     Store.emplace(G->SeedNames.at("y"), std::move(SeedBuf));
-    for (const std::string &W : {"a", "b"})
+    for (const std::string &W : Wrt)
       Store.emplace(G->GradNames.at(W),
                     Buffer(DataType::Float32, P.Shapes.at(W)));
 
@@ -149,7 +193,7 @@ TEST_P(GradFuzz, GradMatchesFiniteDifferencesBothStrategies) {
     interpret(G->Forward, FwdArgs);
     interpret(G->Backward, BwdArgs);
 
-    for (const std::string &W : {"a", "b"}) {
+    for (const std::string &W : Wrt) {
       const Buffer &GB = Store.at(G->GradNames.at(W));
       std::vector<float> &Vec =
           GradsByStrategy[W + (Strategy == TapeStrategy::All ? "/all"
@@ -173,7 +217,7 @@ TEST_P(GradFuzz, GradMatchesFiniteDifferencesBothStrategies) {
   }
 
   // The two strategies must agree exactly (same math, different storage).
-  for (const std::string &W : {"a", "b"}) {
+  for (const std::string &W : Wrt) {
     const auto &Sel = GradsByStrategy.at(W + "/sel");
     const auto &All = GradsByStrategy.at(W + "/all");
     ASSERT_EQ(Sel.size(), All.size());
@@ -184,6 +228,29 @@ TEST_P(GradFuzz, GradMatchesFiniteDifferencesBothStrategies) {
   }
 }
 
+class GradFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(GradFuzz, GradMatchesFiniteDifferencesBothStrategies) {
+  uint64_t Seed = static_cast<uint64_t>(GetParam());
+  checkBothStrategies(makeProgram(Seed), Seed);
+}
+
+TEST_P(GradFuzz, InnerUseGradMatchesFiniteDifferencesBothStrategies) {
+  uint64_t Seed = static_cast<uint64_t>(GetParam());
+  checkBothStrategies(makeInnerUseProgram(Seed), Seed);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, GradFuzz, ::testing::Range(1, 21));
+
+TEST(GradFuzzInnerUse, SweepTapesSomeTemporariesAndRecomputesOthers) {
+  int Taped = 0, Recomputed = 0;
+  for (uint64_t Seed = 1; Seed <= 20; ++Seed) {
+    auto G = grad(makeInnerUseProgram(Seed).F, {"a", "b", "c"});
+    ASSERT_TRUE(G.ok()) << "seed " << Seed << ": " << G.message();
+    ++(G->Tapes.empty() ? Recomputed : Taped);
+  }
+  EXPECT_GE(Taped, 3);
+  EXPECT_GE(Recomputed, 3);
+}
 
 } // namespace

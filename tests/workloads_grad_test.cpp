@@ -139,4 +139,55 @@ TEST(WorkloadGradTest, SoftRasGrad) {
   }
 }
 
+
+//===--------------------------------------------------------------------===//
+// Tape-or-recompute decisions at perfbench's sizes (build and grad only).
+//===--------------------------------------------------------------------===//
+
+/// The tapes Selective keeps, and whether it recomputes \p Value.
+struct Plan {
+  std::vector<std::string> Tapes;
+  bool Recomputed = false;
+};
+
+Plan planOf(const Func &F, const std::vector<std::string> &Wrt,
+            const std::string &Value) {
+  auto G = grad(F, Wrt, TapeStrategy::Selective);
+  EXPECT_TRUE(G.ok()) << G.message();
+  if (!G.ok())
+    return {};
+  Plan P{G->Tapes, false};
+  bool Priced = false;
+  for (const RecomputeDecision &D : G->Decisions)
+    if (D.Tensor == Value) {
+      Priced = true;
+      P.Recomputed = D.Recomputed;
+      EXPECT_EQ(D.Recomputed, D.RecomputeCost < D.MaterializeCost) << Value;
+    }
+  EXPECT_TRUE(Priced) << Value << " was not a recompute candidate";
+  return P;
+}
+
+TEST(WorkloadGradTest, SubdivNetPerfbenchSizeRecomputesD) {
+  // d would be a 3 MB tape read once per element.
+  Plan P = planOf(buildSubdivNet({4096, 64}), {"e"}, "d");
+  EXPECT_TRUE(P.Tapes.empty());
+  EXPECT_TRUE(P.Recomputed);
+}
+
+TEST(WorkloadGradTest, LongformerPerfbenchSizeTapesAttn) {
+  // The V.grad update reads attn on each of the 64 feature iterations.
+  Plan P = planOf(buildLongformer({512, 64, 32}), {"Q", "K", "V"}, "attn");
+  EXPECT_EQ(P.Tapes, (std::vector<std::string>{"attn.tape", "smax.den.tape",
+                                               "smax.exp.tape"}));
+  EXPECT_FALSE(P.Recomputed);
+}
+
+TEST(WorkloadGradTest, SoftRasPerfbenchSizeKeepsTapes) {
+  // d's edge functions cost 47 ops and loads per evaluation.
+  Plan P = planOf(buildSoftRas({128, 32, 32, 0.05f}), {"verts"}, "d");
+  EXPECT_EQ(P.Tapes, (std::vector<std::string>{"acc.tape", "d.tape"}));
+  EXPECT_FALSE(P.Recomputed);
+}
+
 } // namespace

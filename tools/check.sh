@@ -40,16 +40,18 @@
 #    snapshot whose per-fingerprint shape counts sum to the requests
 #    served, with per-tenant deadline accounting that `ftc --top` and
 #    `ftc --advise` render — plain and under ASan.
-# 10. Bench guard: freshly written BENCH_*.json results (including the
+# 10. Grad smoke: `ftc --grad` must report Longformer's attn
+#    materialized and SubdivNet's d recomputed — plain and under ASan.
+# 11. Bench guard: freshly written BENCH_*.json results (including the
 #    dynamic-shape bench's compile-amortization and specialization
 #    speedups, and the sparse bench's eager-vs-compiled speedups) are
 #    compared against the committed baselines on key ratios; >25%
 #    regressions fail the check (tools/bench_guard.py).
-# 11. The same test suite rebuilt under ASan/UBSan (FT_SANITIZE=ON) in a
+# 12. The same test suite rebuilt under ASan/UBSan (FT_SANITIZE=ON) in a
 #    separate build tree, so memory and UB bugs in the analysis/schedule
 #    layers cannot hide behind passing functional tests. The trace test
 #    runs there too: the observability layer itself must be clean.
-# 12. The concurrent suites (kernel runtime pool, re-entrant kernels,
+# 13. The concurrent suites (kernel runtime pool, re-entrant kernels,
 #    serving executor, telemetry) rebuilt under ThreadSanitizer in
 #    build-tsan/ and run on a 4-thread kernel pool; any report fails.
 #
@@ -307,6 +309,31 @@ PYEOF
 echo "== sparse smoke: ragged schedule legality audit =="
 sparse_smoke ./build/tools/ftc
 
+# Grad smoke against $1/ftc: the tape-or-recompute cost rule must tape
+# Longformer's attn, which the backward pass reads on every trip of the
+# 64-wide feature loop, and recompute SubdivNet's d, whose tape would
+# outgrow L2 and be read once per element.
+grad_smoke() {
+  local Ftc="$1"
+  local Out
+  Out="$("$Ftc" --workload longformer --grad)" ||
+    { echo "grad smoke: ftc --grad failed on longformer"; echo "$Out"
+      return 1; }
+  grep -q "^  attn: materialized " <<<"$Out" ||
+    { echo "grad smoke: longformer attn not materialized"; echo "$Out"
+      return 1; }
+  Out="$("$Ftc" --workload subdivnet --grad)" ||
+    { echo "grad smoke: ftc --grad failed on subdivnet"; echo "$Out"
+      return 1; }
+  grep -q "^  d: recomputed " <<<"$Out" ||
+    { echo "grad smoke: subdivnet d not recomputed"; echo "$Out"
+      return 1; }
+  echo "grad smoke OK: longformer attn materialized, subdivnet d recomputed"
+}
+
+echo "== grad smoke: tape-or-recompute decisions =="
+grad_smoke ./build/tools/ftc
+
 echo "== sparse bench: eager-vs-compiled speedups + JSON schema =="
 sparse_bench_smoke "$(pwd)/build/bench/sparse_bench" build/bench-build
 
@@ -502,6 +529,9 @@ ASAN_OPTIONS=detect_leaks=0 dynshape_smoke ./build-asan/tools/ftc
 
 echo "== sparse smoke under ASan =="
 ASAN_OPTIONS=detect_leaks=0 sparse_smoke ./build-asan/tools/ftc
+
+echo "== grad smoke under ASan =="
+ASAN_OPTIONS=detect_leaks=0 grad_smoke ./build-asan/tools/ftc
 
 echo "== serve smoke under ASan =="
 ASAN_OPTIONS=detect_leaks=0 \

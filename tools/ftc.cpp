@@ -8,7 +8,9 @@
 //       [--no-autoschedule] skip the rule passes
 //       [--print-opt-ir]    print the IR after scheduling
 //       [--emit-cpp FILE]   write the generated C++ to FILE ("-" = stdout)
-//       [--grad]            also differentiate and report tapes
+//       [--grad]            also differentiate w.r.t. every float input
+//                           and report the tapes and each tape-or-
+//                           recompute decision with its two costs
 //       [--run N]           JIT-compile and time N executions
 //       [--profile]         instrument the kernel (implies --run) and print
 //                           the per-loop profile table; combine with
@@ -1052,15 +1054,30 @@ int main(int argc, char **argv) {
   }
 
   if (O.Grad) {
-    auto G = grad(B.F, {B.F.Params[0]});
+    std::vector<std::string> Wrt;
+    for (const std::string &P : B.F.Params) {
+      auto D = findVarDef(B.F.Body, P);
+      if (D && D->ATy == AccessType::Input && isFloat(D->Info.Dtype))
+        Wrt.push_back(P);
+    }
+    auto G = grad(B.F, Wrt);
     if (!G.ok()) {
-      std::printf("grad: %s\n", G.message().c_str());
+      std::printf("%s\n", G.message().c_str()); // Starts with "grad:".
     } else {
-      std::printf("grad w.r.t. `%s`: %zu tape(s)", B.F.Params[0].c_str(),
-                  G->Tapes.size());
+      std::printf("grad w.r.t.");
+      for (const std::string &W : Wrt)
+        std::printf(" `%s`", W.c_str());
+      std::printf(": %zu tape(s)", G->Tapes.size());
       for (const std::string &T : G->Tapes)
         std::printf(" %s", T.c_str());
       std::printf("\n");
+      for (const RecomputeDecision &D : G->Decisions)
+        std::printf("  %s: %s (recompute %.4g, materialize %.4g, tape %llu "
+                    "B)\n",
+                    D.Tensor.c_str(),
+                    D.Recomputed ? "recomputed" : "materialized",
+                    D.RecomputeCost, D.MaterializeCost,
+                    static_cast<unsigned long long>(D.TapeBytes));
     }
   }
 
