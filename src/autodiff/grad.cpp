@@ -4,9 +4,11 @@
 
 #include <functional>
 #include <set>
+#include <unordered_map>
 
 #include "analysis/access.h"
 #include "analysis/affine.h"
+#include "ir/compare.h"
 #include "ir/mutator.h"
 #include "pass/const_fold.h"
 #include "pass/flatten.h"
@@ -47,27 +49,53 @@ double extentOf(const Expr &E) {
   return C ? double(std::max<int64_t>(C->Val, 0)) : kSymbolicExtent;
 }
 
+/// Calls \p Fn(Operand, Guarded) on each operand of \p E in evaluation
+/// order, a Load's indices included. Guarded operands are evaluated only
+/// under a condition: IfExpr branches and the right side of && and ||.
+template <typename FnT> void forEachOperand(const Expr &E, FnT &&Fn) {
+  switch (E->kind()) {
+  case NodeKind::Load:
+    for (const Expr &I : cast<LoadNode>(E)->Indices)
+      Fn(I, false);
+    return;
+  case NodeKind::Binary: {
+    auto B = cast<BinaryNode>(E);
+    Fn(B->LHS, false);
+    Fn(B->RHS, isLogicOp(B->Op));
+    return;
+  }
+  case NodeKind::Unary:
+    Fn(cast<UnaryNode>(E)->Operand, false);
+    return;
+  case NodeKind::IfExpr: {
+    auto IE = cast<IfExprNode>(E);
+    Fn(IE->Cond, false);
+    Fn(IE->Then, true);
+    Fn(IE->Else, true);
+    return;
+  }
+  case NodeKind::Cast:
+    Fn(cast<CastNode>(E)->Operand, false);
+    return;
+  default:
+    return;
+  }
+}
+
 /// Counts non-leaf expression nodes and loads: the cost of evaluating an
 /// expression once. Transcendental intrinsics are weighted heavily, so
 /// recomputing an exp() per backward use loses to one tape load (§5.2).
 void countExpr(const Expr &E, int *Ops, int *Loads) {
   switch (E->kind()) {
-  case NodeKind::Load: {
+  case NodeKind::Load:
     ++*Loads;
-    for (const Expr &I : cast<LoadNode>(E)->Indices)
-      countExpr(I, Ops, Loads);
-    return;
-  }
-  case NodeKind::Binary: {
+    break;
+  case NodeKind::Binary:
+  case NodeKind::IfExpr:
     ++*Ops;
-    auto B = cast<BinaryNode>(E);
-    countExpr(B->LHS, Ops, Loads);
-    countExpr(B->RHS, Ops, Loads);
-    return;
-  }
-  case NodeKind::Unary: {
-    auto U = cast<UnaryNode>(E);
-    switch (U->Op) {
+    break;
+  case NodeKind::Unary:
+    switch (cast<UnaryNode>(E)->Op) {
     case UnOpKind::Exp:
     case UnOpKind::Ln:
     case UnOpKind::Sqrt:
@@ -79,63 +107,58 @@ void countExpr(const Expr &E, int *Ops, int *Loads) {
       ++*Ops;
       break;
     }
-    countExpr(U->Operand, Ops, Loads);
-    return;
+    break;
+  default:
+    break;
   }
+  forEachOperand(E, [&](const Expr &X, bool) { countExpr(X, Ops, Loads); });
+}
+
+/// \p E rebuilt with each operand replaced by \p Fn(operand); leaves are
+/// returned as they are.
+template <typename FnT> Expr mapOperands(const Expr &E, FnT &&Fn) {
+  switch (E->kind()) {
+  case NodeKind::Load: {
+    auto L = cast<LoadNode>(E);
+    std::vector<Expr> Idx;
+    for (const Expr &I : L->Indices)
+      Idx.push_back(Fn(I));
+    return makeLoad(L->Var, std::move(Idx), L->Dtype);
+  }
+  case NodeKind::Binary: {
+    auto B = cast<BinaryNode>(E);
+    Expr L = Fn(B->LHS); // Sequenced: Fn may have effects.
+    return makeBinary(B->Op, std::move(L), Fn(B->RHS));
+  }
+  case NodeKind::Unary:
+    return makeUnary(cast<UnaryNode>(E)->Op, Fn(cast<UnaryNode>(E)->Operand));
   case NodeKind::IfExpr: {
-    ++*Ops;
     auto IE = cast<IfExprNode>(E);
-    countExpr(IE->Cond, Ops, Loads);
-    countExpr(IE->Then, Ops, Loads);
-    countExpr(IE->Else, Ops, Loads);
-    return;
+    Expr C = Fn(IE->Cond);
+    Expr T = Fn(IE->Then);
+    return makeIfExpr(std::move(C), std::move(T), Fn(IE->Else));
   }
   case NodeKind::Cast:
-    countExpr(cast<CastNode>(E)->Operand, Ops, Loads);
-    return;
+    return makeCast(cast<CastNode>(E)->Dtype, Fn(cast<CastNode>(E)->Operand));
   default:
-    return;
+    return E;
   }
 }
 
 /// Collects every Load (recursively, including loads inside indices).
 void collectLoads(const Expr &E, std::vector<Ref<LoadNode>> &Out) {
-  switch (E->kind()) {
-  case NodeKind::Load: {
-    auto L = cast<LoadNode>(E);
+  if (auto L = dyn_cast<LoadNode>(E))
     Out.push_back(L);
-    for (const Expr &I : L->Indices)
-      collectLoads(I, Out);
-    return;
-  }
-  case NodeKind::Binary: {
-    auto B = cast<BinaryNode>(E);
-    collectLoads(B->LHS, Out);
-    collectLoads(B->RHS, Out);
-    return;
-  }
-  case NodeKind::Unary:
-    collectLoads(cast<UnaryNode>(E)->Operand, Out);
-    return;
-  case NodeKind::IfExpr: {
-    auto IE = cast<IfExprNode>(E);
-    collectLoads(IE->Cond, Out);
-    collectLoads(IE->Then, Out);
-    collectLoads(IE->Else, Out);
-    return;
-  }
-  case NodeKind::Cast:
-    collectLoads(cast<CastNode>(E)->Operand, Out);
-    return;
-  default:
-    return;
-  }
+  forEachOperand(E, [&](const Expr &X, bool) { collectLoads(X, Out); });
 }
 
 /// One (load, partial-derivative) pair of an expression.
 struct LoadDeriv {
   Ref<LoadNode> Load;
   Expr Deriv;
+  /// Conditions of the IfExpr branches around the load, outermost first:
+  /// the derivative and its accumulation apply only where all hold.
+  std::vector<Expr> Guards;
 };
 
 /// Symbolic differentiation: appends d(E)/d(load) * Seed for every Load in
@@ -144,7 +167,7 @@ struct LoadDeriv {
 void diffExpr(const Expr &E, const Expr &Seed, std::vector<LoadDeriv> &Out) {
   switch (E->kind()) {
   case NodeKind::Load:
-    Out.push_back({cast<LoadNode>(E), Seed});
+    Out.push_back({cast<LoadNode>(E), Seed, {}});
     return;
   case NodeKind::IntConst:
   case NodeKind::FloatConst:
@@ -158,9 +181,17 @@ void diffExpr(const Expr &E, const Expr &Seed, std::vector<LoadDeriv> &Out) {
     return; // Casts to integer stop gradients.
   }
   case NodeKind::IfExpr: {
+    // A branch's derivatives stay under its condition, which may guard the
+    // branch's loads (`i > 0 ? x[i - 1] : 0`).
     auto IE = cast<IfExprNode>(E);
-    diffExpr(IE->Then, makeIfExpr(IE->Cond, Seed, makeFloatConst(0.0)), Out);
-    diffExpr(IE->Else, makeIfExpr(IE->Cond, makeFloatConst(0.0), Seed), Out);
+    auto Branch = [&](const Expr &X, const Expr &Cond) {
+      size_t First = Out.size();
+      diffExpr(X, Seed, Out);
+      for (size_t I = First; I < Out.size(); ++I)
+        Out[I].Guards.insert(Out[I].Guards.begin(), Cond);
+    };
+    Branch(IE->Then, IE->Cond);
+    Branch(IE->Else, makeLNot(IE->Cond));
     return;
   }
   case NodeKind::Unary: {
@@ -288,6 +319,98 @@ void diffWrite(const std::string &Var, const std::vector<Expr> &Indices,
   }
   diffExpr(Value, Seed, Out);
 }
+
+/// Binds the non-leaf float subexpressions that the partial derivatives of
+/// one forward write share to scalar locals, so the backward pass computes
+/// each once (DESIGN.md §5). Equality is structural. An occurrence under a
+/// condition (forEachOperand's Guarded, or in a guarded derivative) may
+/// read a local that an unconditional occurrence defines, but a value that
+/// only occurs under conditions is never bound: the condition may guard
+/// one of its loads.
+class AdjointSharing {
+public:
+  /// Counts the occurrences in \p Roots, every partial derivative of one
+  /// write; \p Guarded[I] says Roots[I] is evaluated under a condition.
+  AdjointSharing(const std::vector<Expr> &Roots,
+                 const std::vector<bool> &Guarded) {
+    for (size_t I = 0; I < Roots.size(); ++I)
+      markUnconditional(Roots[I], Guarded[I]);
+    for (const Expr &R : Roots)
+      countRefs(R);
+  }
+
+  /// \p E reading every bound value from its local. The first read of a
+  /// value appends its Store to Defs, after the Stores of its operands.
+  /// \p NewName names a fresh local.
+  template <typename NameFn> Expr rewrite(const Expr &E, NameFn &&NewName) {
+    Entry *V = nullptr;
+    if (shareable(E)) {
+      Entry &Found = Table.at(E);
+      if (Found.Refs > 1 && Found.Unconditional)
+        V = &Found;
+    }
+    if (V && !V->Local.empty())
+      return makeLoad(V->Local, {}, V->Dtype);
+    Expr Out =
+        mapOperands(E, [&](const Expr &X) { return rewrite(X, NewName); });
+    if (!V)
+      return Out;
+    V->Local = NewName();
+    V->Dtype = dataTypeOf(Out);
+    Defs.push_back(makeStore(V->Local, {}, Out));
+    Locals.push_back({V->Local, V->Dtype});
+    return makeLoad(V->Local, {}, V->Dtype);
+  }
+
+  std::vector<Stmt> Defs; ///< One Store per bound value, operands first.
+  std::vector<std::pair<std::string, DataType>> Locals; ///< In Defs order.
+
+private:
+  struct Entry {
+    int Refs = 0; ///< References once every repeat is read from a local.
+    bool Unconditional = false;
+    std::string Local;
+    DataType Dtype = DataType::Float32;
+  };
+  struct Hash {
+    size_t operator()(const Expr &E) const { return structuralHash(E); }
+  };
+  struct Equal {
+    bool operator()(const Expr &A, const Expr &B) const {
+      return deepEqual(A, B);
+    }
+  };
+
+  static bool shareable(const Expr &E) {
+    switch (E->kind()) {
+    case NodeKind::Binary:
+    case NodeKind::Unary:
+    case NodeKind::IfExpr:
+    case NodeKind::Cast:
+      return isFloat(dataTypeOf(E));
+    default:
+      return false;
+    }
+  }
+
+  void markUnconditional(const Expr &E, bool Guarded) {
+    if (!Guarded && shareable(E))
+      Table[E].Unconditional = true;
+    forEachOperand(E, [&](const Expr &X, bool G) {
+      markUnconditional(X, Guarded || G);
+    });
+  }
+
+  /// Counts references in the expression DAG: a repeat's operands are
+  /// counted once, through its first occurrence.
+  void countRefs(const Expr &E) {
+    if (shareable(E) && ++Table[E].Refs > 1)
+      return;
+    forEachOperand(E, [&](const Expr &X, bool) { countRefs(X); });
+  }
+
+  std::unordered_map<Expr, Entry, Hash, Equal> Table;
+};
 
 /// Per-tensor facts gathered in one pre-pass.
 struct TensorMeta {
@@ -527,6 +650,8 @@ private:
           if (!differentiable(D.Load->Var))
             continue;
           addUses(D.Deriv, Trips);
+          for (const Expr &G : D.Guards)
+            addUses(G, Trips);
           // The load's own indices are re-evaluated for the accumulation.
           for (const Expr &I : D.Load->Indices)
             addUses(I, Trips);
@@ -877,25 +1002,9 @@ private:
                            "neither taped nor recomputable");
       return E;
     }
-    case NodeKind::Binary: {
-      auto B = cast<BinaryNode>(E);
-      return makeBinary(B->Op, resolveValue(B->LHS, Inlined),
-                        resolveValue(B->RHS, Inlined));
-    }
-    case NodeKind::Unary:
-      return makeUnary(cast<UnaryNode>(E)->Op,
-                       resolveValue(cast<UnaryNode>(E)->Operand, Inlined));
-    case NodeKind::IfExpr: {
-      auto IE = cast<IfExprNode>(E);
-      return makeIfExpr(resolveValue(IE->Cond, Inlined),
-                        resolveValue(IE->Then, Inlined),
-                        resolveValue(IE->Else, Inlined));
-    }
-    case NodeKind::Cast:
-      return makeCast(cast<CastNode>(E)->Dtype,
-                      resolveValue(cast<CastNode>(E)->Operand, Inlined));
     default:
-      return E;
+      return mapOperands(
+          E, [&](const Expr &X) { return resolveValue(X, Inlined); });
     }
   }
 
@@ -939,18 +1048,43 @@ private:
     Expr Seed = makeLoad(G, {}, DT);
     std::vector<LoadDeriv> Derivs;
     diffWrite(Var, Indices, DT, Value, IsStore, Seed, Derivs);
+    std::erase_if(Derivs, [&](const LoadDeriv &D) {
+      return !differentiable(D.Load->Var);
+    });
+    std::vector<Expr> Adjoints;
+    std::vector<bool> Guarded;
     for (const LoadDeriv &D : Derivs) {
-      if (!differentiable(D.Load->Var))
-        continue;
-      std::vector<Expr> TIdx;
-      for (const Expr &I : D.Load->Indices)
-        TIdx.push_back(resolveValue(I));
-      Stmts.push_back(makeReduceTo(gradNameOf(D.Load->Var), TIdx,
-                                   ReduceOpKind::Add,
-                                   resolveValue(D.Deriv)));
+      Adjoints.push_back(resolveValue(D.Deriv));
+      Guarded.push_back(!D.Guards.empty());
     }
+
+    // Values the partial derivatives share are computed once, before the
+    // accumulations.
+    AdjointSharing Share(Adjoints, Guarded);
+    std::vector<Stmt> Reduces;
+    for (size_t I = 0; I < Derivs.size(); ++I) {
+      std::vector<Expr> TIdx;
+      for (const Expr &Ix : Derivs[I].Load->Indices)
+        TIdx.push_back(resolveValue(Ix));
+      Expr V = Share.rewrite(Adjoints[I], [&] {
+        return "sv." + std::to_string(FreshCounter++);
+      });
+      Stmt R = makeReduceTo(gradNameOf(Derivs[I].Load->Var), TIdx,
+                            ReduceOpKind::Add, V);
+      const std::vector<Expr> &Guards = Derivs[I].Guards;
+      for (auto It = Guards.rbegin(); It != Guards.rend(); ++It)
+        R = makeIf(resolveValue(*It), R);
+      Reduces.push_back(R);
+    }
+    Stmts.insert(Stmts.end(), Share.Defs.begin(), Share.Defs.end());
+    Stmts.insert(Stmts.end(), Reduces.begin(), Reduces.end());
+    Stmt Body = makeStmtSeq(std::move(Stmts));
+    for (auto It = Share.Locals.rbegin(); It != Share.Locals.rend(); ++It)
+      Body = makeVarDef(It->first, TensorInfo{{}, It->second},
+                        AccessType::Cache, MemType::CPULocal, Body);
+    SharedValues += Share.Locals.size();
     return makeVarDef(G, TensorInfo{{}, DT}, AccessType::Cache,
-                      MemType::CPULocal, makeStmtSeq(std::move(Stmts)));
+                      MemType::CPULocal, Body);
   }
 
   /// True if every Load in \p E targets an Input tensor (conditions must be
@@ -1111,6 +1245,7 @@ private:
       Bwd.Params.push_back(P.Name);
     Bwd.Body = flattenStmtSeq(constFold(Body));
     Out->Backward = std::move(Bwd);
+    Out->SharedValues = SharedValues;
     return Status::success();
   }
 
@@ -1126,6 +1261,7 @@ private:
   std::set<std::string> Materialized;
   std::set<std::string> Recomputed;
   std::vector<RecomputeDecision> Decisions;
+  size_t SharedValues = 0;
   Status Fail;
   int FreshCounter = 0;
   int NumStoresSeen = 0;

@@ -97,6 +97,11 @@ struct GradResult {
   /// empty under All. Each is also written to the audit log as a
   /// "grad/recompute" decision.
   std::vector<RecomputeDecision> Decisions;
+
+  /// Subexpressions the partial derivatives of one forward statement
+  /// share, bound to scalar locals of the backward pass, summed over the
+  /// statements.
+  size_t SharedValues = 0;
 };
 
 /// Differentiates \p F with respect to the Input parameters listed in

@@ -3,6 +3,8 @@
 #include "codegen/codegen.h"
 
 #include <cctype>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <optional>
 #include <set>
@@ -108,6 +110,22 @@ const char *ompReduceId(ReduceOpKind Op) {
     return "max";
   }
   ftUnreachable("unknown reduce op");
+}
+
+/// A C++ float literal for \p V rounded to float: the shortest decimal that
+/// reads back as the same float, with an `f` suffix.
+std::string fmtFloatLiteral(double V) {
+  const float F = static_cast<float>(V);
+  char Buf[32];
+  for (int Prec = 6; Prec <= 9; ++Prec) {
+    std::snprintf(Buf, sizeof(Buf), "%.*g", Prec, double(F));
+    if (std::strtof(Buf, nullptr) == F)
+      break;
+  }
+  std::string S = Buf;
+  if (S.find_first_of(".e") == std::string::npos)
+    S += ".0";
+  return S + "f";
 }
 
 const char *cppType(DataType DT) {
@@ -232,8 +250,9 @@ private:
     }
     case NodeKind::IfExpr: {
       auto IE = cast<IfExprNode>(E);
-      return "(" + emitExpr(IE->Cond) + " ? " + emitExpr(IE->Then) + " : " +
-             emitExpr(IE->Else) + ")";
+      DataType T = dataTypeOf(E);
+      return "(" + emitExpr(IE->Cond) + " ? " + emitOperand(IE->Then, T) +
+             " : " + emitOperand(IE->Else, T) + ")";
     }
     case NodeKind::Unary: {
       auto U = cast<UnaryNode>(E);
@@ -260,8 +279,8 @@ private:
     }
     case NodeKind::Binary: {
       auto B = cast<BinaryNode>(E);
-      std::string L = emitExpr(B->LHS), R = emitExpr(B->RHS);
-      DataType CT = upCast(dataTypeOf(B->LHS), dataTypeOf(B->RHS));
+      DataType CT = dataTypeOf(E);
+      std::string L = emitOperand(B->LHS, CT), R = emitOperand(B->RHS, CT);
       switch (B->Op) {
       case BinOpKind::Add:
         return "(" + L + " + " + R + ")";
@@ -306,6 +325,14 @@ private:
     default:
       ftUnreachable("statement kind in emitExpr");
     }
+  }
+
+  /// An operand of an expression of type \p T: a float literal there is
+  /// Float32 exactly when its partner absorbed it (see dataTypeOf).
+  std::string emitOperand(const Expr &X, DataType T) {
+    if (T == DataType::Float32 && isa<FloatConstNode>(X))
+      return fmtFloatLiteral(cast<FloatConstNode>(X)->Val);
+    return emitExpr(X);
   }
 
   /// An lvalue string for one element of a tensor.

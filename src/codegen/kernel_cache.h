@@ -53,7 +53,10 @@ namespace ft::kernel_cache {
 ///     migrate to a machine without those units — SIGILL at best).
 /// v4: kernels take a per-call ft_rt_ctx and include only ft_prelude.h; an
 ///     older `.so` has the one-argument entry and must never load.
-inline constexpr uint64_t kSchemaVersion = 4;
+/// v5: a float literal beside a Float32 operand is emitted as a float
+///     (weak literal typing), so an older `.so` of the same IR computes in
+///     double where the new code computes in float.
+inline constexpr uint64_t kSchemaVersion = 5;
 
 /// Cache configuration as read from the environment.
 struct Config {

@@ -2,6 +2,9 @@
 
 #include "ir/expr.h"
 
+#include <cmath>
+#include <limits>
+
 using namespace ft;
 
 bool ft::isCompareOp(BinOpKind Op) {
@@ -92,6 +95,27 @@ FT_DEFINE_BINOP(LOr, LOr)
 
 Expr ft::makeLNot(Expr X) { return makeUnary(UnOpKind::LNot, std::move(X)); }
 
+namespace {
+
+/// True for a float literal a Float32 partner absorbs: finite and within
+/// float range.
+bool isWeakFloatLiteral(const Expr &E) {
+  auto C = dyn_cast<FloatConstNode>(E);
+  return C && std::isfinite(C->Val) &&
+         std::fabs(C->Val) <= std::numeric_limits<float>::max();
+}
+
+/// The common type of two arithmetic operands or IfExpr branches, of types
+/// \p TA and \p TB: a weak float literal takes a Float32 partner's type.
+DataType joinTypes(const Expr &A, DataType TA, const Expr &B, DataType TB) {
+  if ((TA == DataType::Float32 && isWeakFloatLiteral(B)) ||
+      (TB == DataType::Float32 && isWeakFloatLiteral(A)))
+    return DataType::Float32;
+  return upCast(TA, TB);
+}
+
+} // namespace
+
 DataType ft::dataTypeOf(const Expr &E) {
   switch (E->kind()) {
   case NodeKind::IntConst:
@@ -108,7 +132,8 @@ DataType ft::dataTypeOf(const Expr &E) {
     return cast<CastNode>(E)->Dtype;
   case NodeKind::IfExpr: {
     auto IE = cast<IfExprNode>(E);
-    return upCast(dataTypeOf(IE->Then), dataTypeOf(IE->Else));
+    return joinTypes(IE->Then, dataTypeOf(IE->Then), IE->Else,
+                     dataTypeOf(IE->Else));
   }
   case NodeKind::Unary: {
     auto U = cast<UnaryNode>(E);
@@ -130,11 +155,21 @@ DataType ft::dataTypeOf(const Expr &E) {
     auto B = cast<BinaryNode>(E);
     if (isCompareOp(B->Op) || isLogicOp(B->Op))
       return DataType::Bool;
-    if (B->Op == BinOpKind::RealDiv) {
-      DataType T = upCast(dataTypeOf(B->LHS), dataTypeOf(B->RHS));
+    DataType TL = dataTypeOf(B->LHS), TR = dataTypeOf(B->RHS);
+    switch (B->Op) {
+    case BinOpKind::RealDiv: {
+      DataType T = joinTypes(B->LHS, TL, B->RHS, TR);
       return isFloat(T) ? T : DataType::Float32;
     }
-    return upCast(dataTypeOf(B->LHS), dataTypeOf(B->RHS));
+    case BinOpKind::Add:
+    case BinOpKind::Sub:
+    case BinOpKind::Mul:
+    case BinOpKind::Min:
+    case BinOpKind::Max:
+      return joinTypes(B->LHS, TL, B->RHS, TR);
+    default:
+      return upCast(TL, TR);
+    }
   }
   default:
     ftUnreachable("dataTypeOf applied to a statement");

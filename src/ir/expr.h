@@ -214,7 +214,11 @@ Expr makeLOr(Expr L, Expr R);
 Expr makeLNot(Expr X);
 
 /// Infers the result type of \p E. Load carries its own type; Var iterators
-/// are Int64; comparisons and logic are Bool; arithmetic promotes.
+/// are Int64; comparisons and logic are Bool; arithmetic promotes. A float
+/// literal is Float64 on its own but weak next to a Float32 partner: as an
+/// operand of + - * / min max, or as an IfExpr branch, a finite literal
+/// within float range takes the partner's Float32 type, the way a Python
+/// scalar does beside a float32 array in NumPy or PyTorch.
 DataType dataTypeOf(const Expr &E);
 
 } // namespace ft

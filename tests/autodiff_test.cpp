@@ -13,7 +13,9 @@
 #include "frontend/libop.h"
 #include "interp/interp.h"
 #include "ir/printer.h"
+#include "ir/visitor.h"
 #include "support/trace.h"
+#include "workloads/workloads.h"
 
 using namespace ft;
 
@@ -419,6 +421,62 @@ TEST(AutodiffTest, InnerLoopTripsDecideAndAuditTapeOrRecompute) {
   ASSERT_TRUE(GAll.ok());
   EXPECT_TRUE(GAll->Decisions.empty());
   EXPECT_EQ(trace::auditSize(), Mark);
+}
+
+//===--------------------------------------------------------------------===//
+// Shared adjoint subexpressions.
+//===--------------------------------------------------------------------===//
+
+/// Counts the edge cross products, (a * b) - (c * d), of an IR tree.
+class CrossCounter : public Visitor {
+public:
+  int Count = 0;
+
+protected:
+  void visit(const BinaryNode *E) override {
+    if (E->Op == BinOpKind::Sub && isa<BinaryNode>(E->LHS) &&
+        isa<BinaryNode>(E->RHS) &&
+        cast<BinaryNode>(E->LHS)->Op == BinOpKind::Mul &&
+        cast<BinaryNode>(E->RHS)->Op == BinOpKind::Mul)
+      ++Count;
+    Visitor::visit(E);
+  }
+};
+
+size_t occurrences(const std::string &Text, const std::string &Needle) {
+  size_t N = 0;
+  for (size_t At = Text.find(Needle); At != std::string::npos;
+       At = Text.find(Needle, At + 1))
+    ++N;
+  return N;
+}
+
+TEST(AutodiffTest, SoftRasBackwardComputesSharedValuesOnce) {
+  // The partial derivatives of d = min(min(c0, c1), c2) all read the three
+  // edge cross products, and those of acc += ln(1 - sigmoid(d / sigma) *
+  // 0.999) read the sigmoid three times: each is computed once.
+  workloads::SoftRasConfig C{4, 3, 3, 0.08f};
+  GradCheck GC;
+  GC.F = workloads::buildSoftRas(C);
+  GC.Shapes = {{"verts", {C.NFaces, 3, 2}},
+               {"px", {C.numPixels()}},
+               {"py", {C.numPixels()}},
+               {"img", {C.numPixels()}}};
+  GC.Inputs = {"verts", "px", "py"};
+  GC.Outputs = {"img"};
+  for (TapeStrategy S : {TapeStrategy::Selective, TapeStrategy::All}) {
+    auto G = grad(GC.F, GC.Inputs, S);
+    ASSERT_TRUE(G.ok()) << G.message();
+    EXPECT_EQ(G->Tapes, (std::vector<std::string>{"acc.tape", "d.tape"}));
+    std::string Bwd = toString(G->Backward.Body);
+    CrossCounter Crosses;
+    Crosses(G->Backward.Body);
+    EXPECT_EQ(Crosses.Count, 3) << Bwd;
+    EXPECT_EQ(occurrences(Bwd, "sigmoid("), 1u) << Bwd;
+    EXPECT_LT(countNodes(G->Backward.Body), 600u) << Bwd;
+    EXPECT_GT(G->SharedValues, 0u);
+    runGradCheck(GC, S);
+  }
 }
 
 //===--------------------------------------------------------------------===//

@@ -165,6 +165,39 @@ TEST(CodegenTest, VectorizeAndUnrollPragmasCompile) {
   expectJitMatchesInterp(S.func(), {{"x", {64}}, {"y", {64}}}, {"y"});
 }
 
+TEST(CodegenTest, FloatLiteralsFollowTheirFloat32Partner) {
+  // y[i] = sigmoid(x[i] * 20.0) * 0.999: beside f32 the literals are
+  // emitted as floats, beside f64 they stay double. Either way the kernel
+  // matches the interpreter, which evaluates in double.
+  for (DataType DT : {DataType::Float32, DataType::Float64}) {
+    const bool F32 = DT == DataType::Float32;
+    FunctionBuilder B("weak");
+    View X = B.input("x", {makeIntConst(16)}, DT);
+    View Y = B.output("y", {makeIntConst(16)}, DT);
+    B.loop("i", 0, 16, [&](Expr I) {
+      Y[I].assign(ft::sigmoid(X[I].load() * makeFloatConst(20.0)) *
+                  makeFloatConst(0.999));
+    });
+    Func F = B.build();
+    std::string Src = generateCpp(F);
+    EXPECT_EQ(Src.find(" * 20.0f)") != std::string::npos, F32) << Src;
+    EXPECT_EQ(Src.find(" * 0.999f)") != std::string::npos, F32) << Src;
+    EXPECT_EQ(Src.find(" * 20)") != std::string::npos, !F32) << Src;
+    EXPECT_EQ(Src.find(" * 0.999)") != std::string::npos, !F32) << Src;
+
+    Buffer XB(DT, {16}), YI(DT, {16}), YJ(DT, {16});
+    for (int64_t I = 0; I < 16; ++I)
+      XB.setF(I, 0.05 * std::sin(0.7 * double(I)));
+    interpret(F, {{"x", &XB}, {"y", &YI}});
+    auto K = Kernel::compile(F, "-O2");
+    ASSERT_TRUE(K.ok()) << K.message();
+    ASSERT_TRUE(K->run({{"x", &XB}, {"y", &YJ}}).ok());
+    for (int64_t I = 0; I < 16; ++I)
+      EXPECT_NEAR(YJ.getF(I), YI.getF(I), 1e-6 * std::fabs(YI.getF(I)))
+          << nameOf(DT) << " y[" << I << "]";
+  }
+}
+
 TEST(CodegenTest, MissingArgumentRejected) {
   FunctionBuilder B("m");
   View Y = B.output("y", {makeIntConst(4)});

@@ -132,6 +132,54 @@ GenProgram makeInnerUseProgram(uint64_t Seed) {
   return P;
 }
 
+/// Generates a statement whose right-hand side repeats a subexpression of
+/// a per-(row, column) temporary, so its partial derivatives share values,
+/// and that reads x[i - 1] only inside `i > 0 ? ... : 0`. The backward pass
+/// must compute the shared values once without ever loading x[-1]: the
+/// interpreter rejects an out-of-bounds load.
+GenProgram makeSharedProgram(uint64_t Seed) {
+  Rng R(Seed);
+  const int64_t N = R.range(3, 7);
+  const int64_t M = R.range(2, 5);
+  FunctionBuilder B("gfuzz_shared" + std::to_string(Seed));
+  View A = B.input("a", {makeIntConst(N), makeIntConst(M)});
+  View Bv = B.input("b", {makeIntConst(N)});
+  View X = B.input("x", {makeIntConst(N)});
+  View Y = B.output("y", {makeIntConst(N)});
+
+  B.loop("i", 0, N, [&](Expr I) {
+    Y[I].assign(0.0);
+    B.loop("j", 0, M, [&](Expr J) {
+      View T = B.local("t", {});
+      T.assign(A[I][J].load() * Bv[I].load());
+      Expr U = T.load();
+      Expr Repeated;
+      switch (R.range(0, 3)) {
+      case 0:
+        Repeated = ft::min(U * X[I].load(), U * X[I].load() +
+                                                makeFloatConst(0.25));
+        break;
+      case 1:
+        Repeated = ft::sigmoid(U) *
+                   ft::ln(makeFloatConst(1.0) -
+                          makeFloatConst(0.5) * ft::sigmoid(U));
+        break;
+      default:
+        Repeated = ft::exp(U) * ft::exp(U) - U * ft::exp(U);
+        break;
+      }
+      Expr Prev = X[I - makeIntConst(1)].load();
+      Y[I] += Repeated + makeIfExpr(I > makeIntConst(0), Prev * Prev * U,
+                                    makeFloatConst(0.0));
+    });
+  });
+
+  GenProgram P;
+  P.F = B.build();
+  P.Shapes = {{"a", {N, M}}, {"b", {N}}, {"x", {N}}, {"y", {N}}};
+  return P;
+}
+
 void fillBuf(Buffer &B, uint64_t Seed) {
   Rng R(Seed);
   for (int64_t I = 0; I < B.numel(); ++I)
@@ -238,6 +286,17 @@ TEST_P(GradFuzz, GradMatchesFiniteDifferencesBothStrategies) {
 TEST_P(GradFuzz, InnerUseGradMatchesFiniteDifferencesBothStrategies) {
   uint64_t Seed = static_cast<uint64_t>(GetParam());
   checkBothStrategies(makeInnerUseProgram(Seed), Seed);
+}
+
+TEST_P(GradFuzz, SharedValuesGradMatchesFiniteDifferencesBothStrategies) {
+  uint64_t Seed = static_cast<uint64_t>(GetParam());
+  GenProgram P = makeSharedProgram(Seed);
+  for (TapeStrategy Strategy : {TapeStrategy::Selective, TapeStrategy::All}) {
+    auto G = grad(P.F, {"a", "b", "x"}, Strategy);
+    ASSERT_TRUE(G.ok()) << "seed " << Seed << ": " << G.message();
+    EXPECT_GT(G->SharedValues, 0u) << "seed " << Seed;
+  }
+  checkBothStrategies(P, Seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, GradFuzz, ::testing::Range(1, 21));

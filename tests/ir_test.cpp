@@ -1,6 +1,8 @@
 //===- tests/ir_test.cpp - IR construction, printing, compare -------------===//
 
+#include <cmath>
 #include <gtest/gtest.h>
+#include <tuple>
 
 #include "ir/compare.h"
 #include "ir/func.h"
@@ -126,6 +128,50 @@ TEST(IrTest, DataTypeOf) {
   EXPECT_EQ(dataTypeOf(makeVar("i")), DataType::Int64);
   EXPECT_EQ(dataTypeOf(makeRealDiv(makeIntConst(1), makeIntConst(2))),
             DataType::Float32);
+}
+
+TEST(IrTest, FloatLiteralsAreWeakBesideFloat32) {
+  const Expr F32 = makeLoad("x", {makeVar("i")}, DataType::Float32);
+  const Expr F64 = makeLoad("w", {makeVar("i")}, DataType::Float64);
+  const Expr I64 = makeVar("i");
+  const Expr Lit = makeFloatConst(0.999);
+  const Expr Big = makeFloatConst(1e300);
+  using MakeFn = Expr (*)(Expr, Expr);
+  const std::vector<std::pair<const char *, MakeFn>> Arith = {
+      {"+", makeAdd}, {"-", makeSub}, {"*", makeMul},
+      {"/", makeRealDiv}, {"min", makeMin}, {"max", makeMax},
+      // Both branches of a select, the condition fixed.
+      {"?:", [](Expr A, Expr B) {
+         return makeIfExpr(makeLT(makeVar("i"), makeIntConst(3)), A, B);
+       }}};
+  // Each row: two operands and the type of (A op B) and of (B op A).
+  const std::vector<std::tuple<const char *, Expr, Expr, DataType>> Rows = {
+      {"f32 (op) literal", F32, Lit, DataType::Float32},
+      {"f64 (op) literal", F64, Lit, DataType::Float64},
+      {"i64 (op) literal", I64, Lit, DataType::Float64},
+      {"literal (op) literal", makeFloatConst(2.0), Lit, DataType::Float64},
+      {"f32 (op) 1e300", F32, Big, DataType::Float64},
+  };
+  for (const auto &[Op, Make] : Arith)
+    for (const auto &[Row, A, B, Want] : Rows) {
+      EXPECT_EQ(dataTypeOf(Make(A, B)), Want) << Row << ", op " << Op;
+      EXPECT_EQ(dataTypeOf(Make(B, A)), Want)
+          << Row << " (swapped), op " << Op;
+    }
+  // The weak type flows upward: (x * 0.5 + 1.0) stays f32.
+  EXPECT_EQ(dataTypeOf(makeAdd(makeMul(F32, makeFloatConst(0.5)),
+                               makeFloatConst(1.0))),
+            DataType::Float32);
+  // Comparisons stay Bool.
+  for (MakeFn Cmp : {makeLT, makeLE, makeGT, makeGE, makeEQ, makeNE}) {
+    EXPECT_EQ(dataTypeOf(Cmp(F32, Lit)), DataType::Bool);
+    EXPECT_EQ(dataTypeOf(Cmp(Lit, F32)), DataType::Bool);
+  }
+  // Every other rule is unchanged: a literal beside an f32 floor division
+  // or modulus still promotes to f64, and so does a non-finite literal.
+  EXPECT_EQ(dataTypeOf(makeMod(F32, Lit)), DataType::Float64);
+  EXPECT_EQ(dataTypeOf(makeMul(F32, makeFloatConst(INFINITY))),
+            DataType::Float64);
 }
 
 TEST(IrTest, NeutralValues) {

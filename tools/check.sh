@@ -41,7 +41,9 @@
 #    served, with per-tenant deadline accounting that `ftc --top` and
 #    `ftc --advise` render — plain and under ASan.
 # 10. Grad smoke: `ftc --grad` must report Longformer's attn
-#    materialized and SubdivNet's d recomputed — plain and under ASan.
+#    materialized and SubdivNet's d recomputed, and SoftRas's backward
+#    must bind at least one shared adjoint value and stay under 1000 IR
+#    nodes — plain and under ASan.
 # 11. Bench guard: freshly written BENCH_*.json results (including the
 #    dynamic-shape bench's compile-amortization and specialization
 #    speedups, and the sparse bench's eager-vs-compiled speedups) are
@@ -328,7 +330,18 @@ grad_smoke() {
   grep -q "^  d: recomputed " <<<"$Out" ||
     { echo "grad smoke: subdivnet d not recomputed"; echo "$Out"
       return 1; }
-  echo "grad smoke OK: longformer attn materialized, subdivnet d recomputed"
+  Out="$("$Ftc" --workload softras --grad)" ||
+    { echo "grad smoke: ftc --grad failed on softras"; echo "$Out"
+      return 1; }
+  local Nodes Shared
+  read -r Nodes Shared < <(sed -nE \
+    's/^  backward: ([0-9]+) IR nodes, ([0-9]+) shared value.*/\1 \2/p' \
+    <<<"$Out") || true
+  [[ -n "$Nodes" && "$Shared" -ge 1 && "$Nodes" -lt 1000 ]] ||
+    { echo "grad smoke: softras backward shares no value or has >= 1000" \
+        "IR nodes"; echo "$Out"; return 1; }
+  echo "grad smoke OK: longformer attn materialized, subdivnet d" \
+    "recomputed, softras backward $Nodes nodes with $Shared shared values"
 }
 
 echo "== grad smoke: tape-or-recompute decisions =="

@@ -9,8 +9,9 @@
 //       [--print-opt-ir]    print the IR after scheduling
 //       [--emit-cpp FILE]   write the generated C++ to FILE ("-" = stdout)
 //       [--grad]            also differentiate w.r.t. every float input
-//                           and report the tapes and each tape-or-
-//                           recompute decision with its two costs
+//                           and report the tapes, each tape-or-
+//                           recompute decision with its two costs, and
+//                           the backward's IR nodes and shared values
 //       [--run N]           JIT-compile and time N executions
 //       [--profile]         instrument the kernel (implies --run) and print
 //                           the per-loop profile table; combine with
@@ -72,6 +73,7 @@
 #include "codegen/kernel_cache.h"
 #include "interp/interp.h"
 #include "ir/printer.h"
+#include "ir/visitor.h"
 #include "pass/simplify.h"
 #include "pass/specialize.h"
 #include "serve/serve.h"
@@ -1078,6 +1080,8 @@ int main(int argc, char **argv) {
                     D.Recomputed ? "recomputed" : "materialized",
                     D.RecomputeCost, D.MaterializeCost,
                     static_cast<unsigned long long>(D.TapeBytes));
+      std::printf("  backward: %zu IR nodes, %zu shared value(s)\n",
+                  countNodes(G->Backward.Body), G->SharedValues);
     }
   }
 
