@@ -2,23 +2,18 @@
 //
 // Before/after measurement of the dependence-query engine accelerations
 // (constraint canonicalization + interval/GCD pre-filter + memoized
-// emptiness + per-point domain caching + analyzer reuse): each benchmark
-// runs twice, once with the engine as shipped and once under
-// ft::BypassGuard, which reproduces the pre-acceleration behaviour.
-// Counters report queries/sec and the emptiness-cache hit rate.
+// emptiness + per-point domain caching + analyzer reuse): each case runs
+// with the engine as shipped, interleaved with the same case under
+// ft::BypassGuard, which reproduces the pre-acceleration behaviour. After
+// timing, one more operation per mode reports the engine counters of a
+// single operation (the memo warm, as it is across a session's probes).
 //
-// Writes BENCH_deps.json (google-benchmark JSON reporter) unless the
-// caller passes an explicit --benchmark_out.
+// Writes BENCH_deps.json.
 //
 //===----------------------------------------------------------------------===//
 
-#include <benchmark/benchmark.h>
-
-#include <functional>
-#include <string>
-#include <vector>
-
-#include "bench_common.h"
+#include "analysis/deps.h"
+#include "harness.h"
 #include "math/affine_set.h"
 #include "support/metrics.h"
 
@@ -54,115 +49,109 @@ double deps(const char *Name) {
   return double(ft::metrics::counter(std::string("deps/") + Name).load());
 }
 
-/// Attaches the per-iteration engine counters to the benchmark report.
-/// Each benchmark resets the deps/ counters at the top of every iteration,
-/// so at destruction time they hold the delta of exactly one iteration — a
-/// meaningful per-iteration cost, not a cumulative total that scales with
-/// however many iterations the harness chose to run.
-struct StatsScope {
-  explicit StatsScope(benchmark::State &State) : State(State) {
-    ft::metrics::resetPrefix("deps/");
-    ft::clearEmptinessCache();
-  }
-  ~StatsScope() {
-    State.counters["dep_queries"] = deps("dep_queries");
-    double Hits = deps("emptiness_cache_hits");
-    double Misses = deps("emptiness_cache_misses");
-    State.counters["memo_hit_rate"] =
-        Hits + Misses ? Hits / (Hits + Misses) : 0.0;
-    State.counters["fm_eliminations"] = deps("fm_eliminations");
-    State.counters["analyzer_builds"] = deps("analyzer_builds");
-  }
-  benchmark::State &State;
+struct Mode {
+  Timing T;
+  double DepQueries = 0, MemoHitRate = 0, FmEliminations = 0,
+         AnalyzerBuilds = 0;
 };
 
-/// The legality-check core: the carriedBy sweeps a schedule session issues
-/// against one AST version — parallelize and vectorize probe every loop,
-/// and sink_var re-sweeps once per sinking round — served by one analyzer
-/// generation. The process-wide emptiness memo additionally persists
-/// across generations (iterations), as it does across sessions.
-void DepsCarriedBySweep(benchmark::State &State) {
-  ft::BypassGuard G(State.range(0) == 0);
-  Func F = buildLongformer({128, 32, 16});
-  constexpr int SweepsPerVersion = 8;
-  StatsScope Scope(State);
-  for (auto _ : State) {
-    ft::metrics::resetPrefix("deps/");
-    DepAnalyzer DA(F.Body);
-    int64_t Found = 0;
-    for (int Round = 0; Round < SweepsPerVersion; ++Round)
-      for (int64_t L : allLoops(F.Body))
-        Found += static_cast<int64_t>(DA.carriedBy(L).size());
-    benchmark::DoNotOptimize(Found);
-  }
-}
-BENCHMARK(DepsCarriedBySweep)
-    ->Arg(1)
-    ->ArgName("accel")
-    ->Arg(0)
-    ->Unit(benchmark::kMillisecond);
+struct Row {
+  std::string Name;
+  Mode Accel, Bypass;
+};
 
-/// The full analysis-driven auto-transform of a workload (paper §4.3):
-/// dominated by legality checks, so it measures the engine end-to-end —
-/// analyzer reuse across probed primitives included.
-void DepsAutoTransform(benchmark::State &State) {
-  ft::BypassGuard G(State.range(0) == 0);
-  Func F = buildSubdivNet({1024, 32});
-  StatsScope Scope(State);
-  for (auto _ : State) {
+/// Times \p Op with the engine accelerated and bypassed, then counts one
+/// more operation of each.
+Row measure(std::string Name, const std::function<void()> &Op) {
+  auto Under = [&Op](bool Bypass) {
+    return Contender{[&Op, Bypass](int64_t N) {
+      ft::BypassGuard G(Bypass);
+      for (int64_t I = 0; I < N; ++I)
+        Op();
+    }};
+  };
+  ft::clearEmptinessCache();
+  std::vector<Timing> T = timeInterleaved({Under(false), Under(true)});
+  Row R{std::move(Name), {T[0]}, {T[1]}};
+  for (Mode *M : {&R.Accel, &R.Bypass}) {
     ft::metrics::resetPrefix("deps/");
-    Func Opt = autoScheduleFunc(F);
-    benchmark::DoNotOptimize(Opt);
+    Under(M == &R.Bypass).Run(1);
+    M->DepQueries = deps("dep_queries");
+    double Hits = deps("emptiness_cache_hits");
+    double Misses = deps("emptiness_cache_misses");
+    M->MemoHitRate = Hits + Misses ? Hits / (Hits + Misses) : 0.0;
+    M->FmEliminations = deps("fm_eliminations");
+    M->AnalyzerBuilds = deps("analyzer_builds");
   }
+  std::printf("%-20s accel median %8.3f ms | bypass median %8.3f ms | "
+              "%.2fx | %g dep queries, memo hit rate %.2f\n",
+              R.Name.c_str(), R.Accel.T.Median * 1e3,
+              R.Bypass.T.Median * 1e3, R.Bypass.T.Median / R.Accel.T.Median,
+              R.Accel.DepQueries, R.Accel.MemoHitRate);
+  return R;
 }
-BENCHMARK(DepsAutoTransform)
-    ->Arg(1)
-    ->ArgName("accel")
-    ->Arg(0)
-    ->Unit(benchmark::kMillisecond);
 
-/// Repeated legality probing of one AST version — the auto-fuse /
-/// auto-parallelize retry pattern: many primitives interrogate the same
-/// program snapshot through one Schedule.
-void DepsScheduleProbing(benchmark::State &State) {
-  ft::BypassGuard G(State.range(0) == 0);
-  Func F = buildLongformer({128, 32, 16});
-  StatsScope Scope(State);
-  for (auto _ : State) {
-    ft::metrics::resetPrefix("deps/");
-    Schedule S(F);
-    std::vector<int64_t> Loops = allLoops(S.ast());
-    int64_t Accepted = 0;
-    // Probe vectorize on every loop (read-only legality checks), then
-    // commit one parallelization.
-    for (int64_t L : Loops)
-      Accepted += S.vectorize(L).ok();
-    if (!Loops.empty())
-      Accepted += S.parallelize(Loops.front()).ok();
-    benchmark::DoNotOptimize(Accepted);
-  }
+void writeMode(json::Writer &W, const char *Key, const Mode &M) {
+  W.key(Key).beginObject()
+      .key("dep_queries").value(M.DepQueries)
+      .key("memo_hit_rate").value(M.MemoHitRate)
+      .key("fm_eliminations").value(M.FmEliminations)
+      .key("analyzer_builds").value(M.AnalyzerBuilds)
+      .key("time");
+  writeMs(W, M.T);
+  W.endObject();
 }
-BENCHMARK(DepsScheduleProbing)
-    ->Arg(1)
-    ->ArgName("accel")
-    ->Arg(0)
-    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 
-int main(int argc, char **argv) {
-  std::vector<char *> Args(argv, argv + argc);
-  bool HasOut = false;
-  for (int I = 1; I < argc; ++I)
-    HasOut |= std::string(argv[I]).rfind("--benchmark_out", 0) == 0;
-  static std::string OutArg = "--benchmark_out=BENCH_deps.json";
-  static std::string FmtArg = "--benchmark_out_format=json";
-  if (!HasOut) {
-    Args.push_back(OutArg.data());
-    Args.push_back(FmtArg.data());
-  }
-  int Argc = static_cast<int>(Args.size());
-  benchmark::Initialize(&Argc, Args.data());
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  CacheScope Cache;
+  std::vector<Row> Rows;
+
+  // The legality-check core: the carriedBy sweeps a schedule session issues
+  // against one AST version — parallelize and vectorize probe every loop,
+  // and sink_var re-sweeps once per sinking round — served by one analyzer
+  // generation. The process-wide emptiness memo additionally persists
+  // across generations (operations), as it does across sessions.
+  Func Lf = buildLongformer({128, 32, 16});
+  Rows.push_back(measure("carried_by_sweep", [&Lf] {
+    constexpr int SweepsPerVersion = 8;
+    DepAnalyzer DA(Lf.Body);
+    for (int Round = 0; Round < SweepsPerVersion; ++Round)
+      for (int64_t L : allLoops(Lf.Body))
+        (void)DA.carriedBy(L);
+  }));
+
+  // The full analysis-driven auto-transform of a workload (paper §4.3):
+  // dominated by legality checks, so it measures the engine end-to-end —
+  // analyzer reuse across probed primitives included.
+  Func Sn = buildSubdivNet({1024, 32});
+  Rows.push_back(
+      measure("auto_transform", [&Sn] { (void)autoScheduleFunc(Sn); }));
+
+  // Repeated legality probing of one AST version — the auto-fuse /
+  // auto-parallelize retry pattern: many primitives interrogate the same
+  // program snapshot through one Schedule. Probe vectorize on every loop
+  // (read-only legality checks), then commit one parallelization.
+  Rows.push_back(measure("schedule_probing", [&Lf] {
+    Schedule S(Lf);
+    std::vector<int64_t> Loops = allLoops(S.ast());
+    for (int64_t L : Loops)
+      (void)S.vectorize(L);
+    if (!Loops.empty())
+      (void)S.parallelize(Loops.front());
+  }));
+
+  writeReport("deps", [&](json::Writer &W) {
+    W.key("benchmark").value("deps").key("cases").beginArray();
+    for (const Row &R : Rows) {
+      W.beginObject().key("name").value(R.Name);
+      writeMode(W, "accel", R.Accel);
+      writeMode(W, "bypass", R.Bypass);
+      W.key("speedup").value(R.Bypass.T.Median / R.Accel.T.Median);
+      W.endObject();
+    }
+    W.endArray();
+  });
   return 0;
 }

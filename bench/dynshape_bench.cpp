@@ -24,38 +24,20 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <set>
-#include <string>
-#include <unistd.h>
-#include <vector>
 
-#include "autoschedule/autoschedule.h"
-#include "codegen/jit.h"
-#include "codegen/kernel_cache.h"
 #include "frontend/builder.h"
+#include "harness.h"
 #include "pass/simplify.h"
 #include "pass/specialize.h"
 #include "serve/serve.h"
 #include "serve/telemetry.h"
-#include "support/error.h"
-#include "workloads/workloads.h"
 
-using namespace ft;
+using namespace ftb;
 using namespace ft::serve;
-using namespace ft::workloads;
 
 namespace {
-
-double seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// y[i] = x[i] * 2 + 1 over the symbolic extent `n` — the ragged request
 /// stream for phase (a). The program is deliberately tiny: the phase
@@ -71,128 +53,49 @@ Func makeRagged() {
   return B.build();
 }
 
-/// Median-of-reps wall time of one Kernel::run, seconds. Two warm-up runs,
-/// then enough reps to accumulate ~80 ms of measurement.
-double timeKernel(const Kernel &K, const std::map<std::string, Buffer *> &A) {
-  for (int I = 0; I < 2; ++I)
-    ftAssert(K.run(A).ok(), "warmup run failed");
-  std::vector<double> Times;
-  double Budget = 0;
-  while ((Budget < 0.08 || Times.size() < 5) && Times.size() < 200) {
-    double T0 = seconds();
-    ftAssert(K.run(A).ok(), "timed run failed");
-    double Dt = seconds() - T0;
-    Times.push_back(Dt);
-    Budget += Dt;
-  }
-  std::sort(Times.begin(), Times.end());
-  return Times[Times.size() / 2];
-}
-
 struct WorkloadRow {
   std::string Name;
   double GenericMs = 0, SpecMs = 0, Speedup = 0, MaxDiff = 0;
 };
 
-/// One workload's argument store at its hot benchmark shape: bound extent
-/// scalars, deterministic inputs, zeroed output. Mirrors `ftc --dyn`.
+/// One workload at its hot benchmark shape: the harness's bound arguments
+/// plus the extent scalars, and the shape-generic program. Mirrors
+/// `ftc --dyn`.
 struct DynCase {
-  std::string Name;
-  Func F;                                ///< shape-generic program
-  std::map<std::string, Buffer> Store;   ///< bound arguments
-  std::map<std::string, int64_t> Extents; ///< hot-shape extent bindings
-  std::string OutName;
+  Case C;
+  std::map<std::string, int64_t> Extents; ///< Hot-shape extent bindings.
 };
 
-std::vector<DynCase> makeCases() {
-  std::vector<DynCase> Out;
-  {
-    DynCase C;
-    C.Name = "subdivnet";
-    SubdivNetConfig W;
-    W.NFaces = 2048;
-    C.F = buildSubdivNetDyn(W);
-    SubdivNetData D = makeSubdivNetData(W);
-    C.Store.emplace("n", Buffer::scalarI64(W.NFaces));
-    C.Store.emplace("e", std::move(D.E));
-    C.Store.emplace("adj", std::move(D.Adj));
-    C.Store.emplace("y", Buffer(DataType::Float32, {W.NFaces, W.Feats}));
-    C.Extents = {{"n", W.NFaces}};
-    C.OutName = "y";
-    Out.push_back(std::move(C));
-  }
-  {
-    DynCase C;
-    C.Name = "longformer";
-    LongformerConfig W;
-    W.SeqLen = 512;
-    C.F = buildLongformerDyn(W);
-    LongformerData D = makeLongformerData(W);
-    C.Store.emplace("n", Buffer::scalarI64(W.SeqLen));
-    C.Store.emplace("Q", std::move(D.Q));
-    C.Store.emplace("K", std::move(D.K));
-    C.Store.emplace("V", std::move(D.V));
-    C.Store.emplace("y", Buffer(DataType::Float32, {W.SeqLen, W.Feats}));
-    C.Extents = {{"n", W.SeqLen}};
-    C.OutName = "y";
-    Out.push_back(std::move(C));
-  }
-  {
-    DynCase C;
-    C.Name = "softras";
-    SoftRasConfig W;
-    W.NFaces = 64;
-    W.ImgH = 32;
-    W.ImgW = 32;
-    C.F = buildSoftRasDyn(W);
-    SoftRasData D = makeSoftRasData(W);
-    C.Store.emplace("nf", Buffer::scalarI64(W.NFaces));
-    C.Store.emplace("np", Buffer::scalarI64(W.numPixels()));
-    C.Store.emplace("verts", std::move(D.Verts));
-    C.Store.emplace("px", std::move(D.Px));
-    C.Store.emplace("py", std::move(D.Py));
-    C.Store.emplace("img", Buffer(DataType::Float32, {W.numPixels()}));
-    C.Extents = {{"nf", W.NFaces}, {"np", W.numPixels()}};
-    C.OutName = "img";
-    Out.push_back(std::move(C));
-  }
-  {
-    DynCase C;
-    C.Name = "gat";
-    GATConfig W;
-    W.NNodes = 2048;
-    C.F = buildGATDyn(W);
-    GATData D = makeGATData(W);
-    C.Store.emplace("n", Buffer::scalarI64(W.NNodes));
-    C.Store.emplace("h", std::move(D.H));
-    C.Store.emplace("adj", std::move(D.Adj));
-    C.Store.emplace("a1", std::move(D.A1));
-    C.Store.emplace("a2", std::move(D.A2));
-    C.Store.emplace("y", Buffer(DataType::Float32, {W.NNodes, W.Feats}));
-    C.Extents = {{"n", W.NNodes}};
-    C.OutName = "y";
-    Out.push_back(std::move(C));
-  }
-  return Out;
+DynCase dynCase(Case C, Func Generic, std::map<std::string, int64_t> Extents) {
+  for (const auto &[N, V] : Extents)
+    C.Store.emplace(N, Buffer::scalarI64(V));
+  C.F = std::move(Generic);
+  return {std::move(C), std::move(Extents)};
 }
 
-std::map<std::string, Buffer *> argPtrs(std::map<std::string, Buffer> &S) {
-  std::map<std::string, Buffer *> A;
-  for (auto &[N, B] : S)
-    A[N] = &B;
-  return A;
+std::vector<DynCase> makeCases() {
+  SubdivNetConfig Sn{2048, 32};
+  LongformerConfig Lf{512, 64, 32};
+  SoftRasConfig Sr{64, 32, 32, 0.05f};
+  GATConfig Gat{2048, 32, 8};
+  std::vector<DynCase> Out;
+  Out.push_back(dynCase(subdivnetCase(Sn), buildSubdivNetDyn(Sn),
+                        {{"n", Sn.NFaces}}));
+  Out.push_back(dynCase(longformerCase(Lf), buildLongformerDyn(Lf),
+                        {{"n", Lf.SeqLen}}));
+  Out.push_back(dynCase(softrasCase(Sr), buildSoftRasDyn(Sr),
+                        {{"nf", Sr.NFaces}, {"np", Sr.numPixels()}}));
+  Out.push_back(
+      dynCase(gatCase(Gat), buildGATDyn(Gat), {{"n", Gat.NNodes}}));
+  return Out;
 }
 
 } // namespace
 
 int main() {
-  char Tmpl[] = "/tmp/ftdynbench.XXXXXX";
-  ftAssert(::mkdtemp(Tmpl) != nullptr, "mkdtemp failed");
-  ::setenv("FT_CACHE_DIR", Tmpl, 1);
-  ::setenv("FT_CACHE", "1", 1);
+  CacheScope Cache;
   telemetry::setEnabled(false);
   telemetry::reset();
-  kernel_cache::memReset();
 
   bool Ok = true;
 
@@ -246,7 +149,8 @@ int main() {
   // (b) Specialized vs generic on the four workloads.
   //===------------------------------------------------------------------===//
   std::vector<WorkloadRow> Rows;
-  for (DynCase &C : makeCases()) {
+  for (DynCase &D : makeCases()) {
+    Case &C = D.C;
     // Generic tier: the executor compiles the submitted program as-is at
     // the compile-latency-friendly -O2 — it never reschedules on the
     // generic path, so this is exactly what a raw submission is served
@@ -256,16 +160,16 @@ int main() {
     // Specialization tier: exactly the executor's background pipeline —
     // constant-fold the hot bucket's extents, simplify, re-autoschedule
     // (now with literal trip counts), compile at -O3.
-    Func SpecIn = autoScheduleFunc(simplify(specializeFunc(C.F, C.Extents)));
+    Func SpecIn = autoScheduleFunc(simplify(specializeFunc(C.F, D.Extents)));
     auto SK = Kernel::compile(SpecIn, CodegenOptions{}, "-O3");
     ftAssert(SK.ok(), SK.message());
 
-    auto Args = argPtrs(C.Store);
+    auto Args = C.args();
     WorkloadRow R;
     R.Name = C.Name;
 
     // Cross-check before timing: the hot swap must not change results.
-    Buffer &Out = C.Store.at(C.OutName);
+    Buffer &Out = C.Store.at(C.Out);
     ftAssert(GK->run(Args).ok(), "generic run failed");
     std::vector<float> YG(Out.as<float>(), Out.as<float>() + Out.numel());
     ftAssert(SK->run(Args).ok(), "specialized run failed");
@@ -274,8 +178,11 @@ int main() {
           R.MaxDiff, double(std::fabs(Out.as<float>()[I] - YG[I])));
     Ok = Ok && R.MaxDiff <= 1e-3;
 
-    R.GenericMs = timeKernel(*GK, Args) * 1e3;
-    R.SpecMs = timeKernel(*SK, Args) * 1e3;
+    std::vector<Timing> T =
+        timeInterleaved({kernelRuns(*GK, Args), kernelRuns(*SK, Args)},
+                        {/*Warmup=*/2, /*Rounds=*/8, /*Samples=*/5});
+    R.GenericMs = T[0].Median * 1e3;
+    R.SpecMs = T[1].Median * 1e3;
     R.Speedup = R.GenericMs / R.SpecMs;
     std::printf("%-10s generic %8.3f ms | specialized %8.3f ms | "
                 "speedup %.2fx | maxdiff %.2e\n",
@@ -292,30 +199,28 @@ int main() {
   std::printf("second-best speedup %.2fx (acceptance: >= 1.20x)\n",
               SecondBest);
 
-  std::FILE *F = std::fopen("BENCH_dynshape.json", "w");
-  ftAssert(F != nullptr, "could not open BENCH_dynshape.json");
-  std::fprintf(F, "{\n  \"benchmark\": \"dynshape\",\n");
-  std::fprintf(F,
-               "  \"shapes\": {\"distinct_shapes\": %d, "
-               "\"generic_compiles\": %llu, \"spec_compiles\": %llu, "
-               "\"per_shape_compiles\": %zu},\n",
-               kShapes, (unsigned long long)GenericCompiles,
-               (unsigned long long)SpecCompiles, PerShapeCompiles);
-  std::fprintf(F, "  \"workloads\": [\n");
-  for (size_t I = 0; I < Rows.size(); ++I)
-    std::fprintf(F,
-                 "    {\"name\": \"%s\", \"generic_ms\": %.4f, "
-                 "\"specialized_ms\": %.4f, \"speedup\": %.4f, "
-                 "\"max_diff\": %.3e}%s\n",
-                 Rows[I].Name.c_str(), Rows[I].GenericMs, Rows[I].SpecMs,
-                 Rows[I].Speedup, Rows[I].MaxDiff,
-                 I + 1 < Rows.size() ? "," : "");
-  std::fprintf(F, "  ],\n");
-  std::fprintf(F, "  \"second_best_speedup\": %.4f,\n", SecondBest);
-  std::fprintf(F, "  \"pass\": %s\n}\n", Ok ? "true" : "false");
-  std::fclose(F);
+  writeReport("dynshape", [&](json::Writer &W) {
+    W.key("benchmark").value("dynshape");
+    W.key("shapes").beginObject()
+        .key("distinct_shapes").value(kShapes)
+        .key("generic_compiles").value(GenericCompiles)
+        .key("spec_compiles").value(SpecCompiles)
+        .key("per_shape_compiles").value(PerShapeCompiles)
+        .endObject();
+    W.key("workloads").beginArray();
+    for (const WorkloadRow &R : Rows)
+      W.beginObject()
+          .key("name").value(R.Name)
+          .key("generic_ms").value(R.GenericMs)
+          .key("specialized_ms").value(R.SpecMs)
+          .key("speedup").value(R.Speedup)
+          .key("max_diff").value(R.MaxDiff)
+          .endObject();
+    W.endArray();
+    W.key("second_best_speedup").value(SecondBest);
+    W.key("pass").value(Ok);
+  });
 
-  std::system(("rm -rf '" + std::string(Tmpl) + "'").c_str());
   std::printf("%s\n", Ok ? "PASS" : "FAIL");
   return Ok ? 0 : 1;
 }

@@ -12,11 +12,13 @@
 // Expected shape (paper): FreeTensor needs 1 kernel vs >= 6; ~3% of the
 // baseline's DRAM traffic; <= 100% of the FLOPs.
 //
+// Writes BENCH_fig17.json: both sides' counts and the auto-scheduler's
+// per-rule tally.
+//
 //===----------------------------------------------------------------------===//
 
-#include <benchmark/benchmark.h>
-
-#include "bench_common.h"
+#include "harness.h"
+#include "interp/interp.h"
 
 using namespace ftb;
 
@@ -30,24 +32,21 @@ struct Metrics {
 };
 
 Metrics measureFreeTensor() {
-  SubdivNetConfig C = subdivnetCfg();
-  SubdivNetData D = makeSubdivNetData(C);
+  Case K = subdivnetCase();
   // Measure the program as compiled: after auto-scheduling, the temporaries
   // live in registers / scratch-pad (auto_mem_type), so their traffic does
   // not reach DRAM — exactly the effect the paper credits ("intermediate
   // results can now be kept in registers, shared memory or cache").
-  Func F = autoScheduleFunc(buildSubdivNet(C));
-  Buffer Y(DataType::Float32, {C.NFaces, C.Feats});
+  Func F = autoScheduleFunc(K.F);
   InterpOptions Opts;
   Opts.SimulateCache = true; // LRU model in front of main memory.
-  InterpStats S =
-      interpret(F, {{"e", &D.E}, {"adj", &D.Adj}, {"y", &Y}}, Opts);
+  InterpStats S = interpret(F, K.args(), Opts);
   Metrics M;
   M.Kernels = 1; // The whole layer is one fused kernel.
   M.DramBytes = S.SimDramBytes;
   // Distinct data the kernel must pull: inputs + outputs, once each.
-  M.UniqueBytes = static_cast<int64_t>(D.E.sizeBytes() + D.Adj.sizeBytes() +
-                                       Y.sizeBytes());
+  for (const auto &[Name, B] : K.Store)
+    M.UniqueBytes += static_cast<int64_t>(B.sizeBytes());
   M.Flops = S.Flops;
   return M;
 }
@@ -62,8 +61,7 @@ Metrics measureEager() {
   eager::clearTape();
   eager::Tensor E = toEager(D.E);
   eager::IndexTensor Adj = toEagerIdx(D.Adj);
-  eager::Tensor Y = subdivnetEager(E, Adj, C);
-  (void)Y;
+  (void)subdivnetEager(E, Adj, C);
   Metrics M;
   M.Kernels = eager::stats().KernelLaunches;
   M.DramBytes = eager::stats().bytesMoved();
@@ -75,21 +73,21 @@ Metrics measureEager() {
   return M;
 }
 
-/// What the auto-scheduler did to get there: the per-rule tried / applied /
-/// rejected tally sourced from the schedule decision audit log.
-void printRuleTally() {
-  SubdivNetConfig C = subdivnetCfg();
-  AutoScheduleReport Rep;
-  (void)autoScheduleFunc(buildSubdivNet(C), {}, &Rep);
-  std::printf("=== auto-schedule rule tally (SubdivNet) ===\n");
-  std::printf("%-20s %8s %8s %8s\n", "rule", "tried", "applied", "rejected");
-  for (const auto &[Rule, T] : Rep.Rules)
-    std::printf("%-20s %8d %8d %8d\n", Rule.c_str(), T.Tried, T.Applied,
-                T.Rejected);
+void writeMetrics(json::Writer &W, const char *Key, const Metrics &M) {
+  W.key(Key).beginObject()
+      .key("kernels").value(M.Kernels)
+      .key("dram_bytes").value(M.DramBytes)
+      .key("unique_bytes").value(M.UniqueBytes)
+      .key("flops").value(M.Flops)
+      .endObject();
 }
 
-void printTable(const Metrics &FT, const Metrics &EG) {
-  std::printf("\n=== Figure 17: analysis of the SubdivNet speedup ===\n");
+} // namespace
+
+int main() {
+  CacheScope Cache;
+  Metrics FT = measureFreeTensor(), EG = measureEager();
+  std::printf("=== Figure 17: analysis of the SubdivNet speedup ===\n");
   std::printf("%-28s %16s %16s %10s\n", "metric", "baseline(Eager)",
               "FreeTensor", "FT/base");
   auto Row = [](const char *Name, int64_t Base, int64_t Ft) {
@@ -103,30 +101,30 @@ void printTable(const Metrics &FT, const Metrics &EG) {
   Row("FLOPs", EG.Flops, FT.Flops);
   std::printf("paper (V100): 1 vs >=6 kernels; DRAM 3.31%%; L2 18.38%%; "
               "FLOP 79.72%%\n\n");
-}
 
-void Fig17_Metrics(benchmark::State &State) {
-  static Metrics FT = measureFreeTensor();
-  static Metrics EG = measureEager();
-  for (auto _ : State) {
-    benchmark::DoNotOptimize(FT.Kernels);
-    benchmark::DoNotOptimize(EG.Kernels);
-  }
-  State.counters["ft_kernels"] = static_cast<double>(FT.Kernels);
-  State.counters["eager_kernels"] = static_cast<double>(EG.Kernels);
-  State.counters["dram_ratio_pct"] =
-      100.0 * double(FT.DramBytes) / double(EG.DramBytes);
-  State.counters["flop_ratio_pct"] =
-      100.0 * double(FT.Flops) / double(EG.Flops);
-}
-BENCHMARK(Fig17_Metrics)->Iterations(1);
+  // What the auto-scheduler did to get there: the per-rule tried / applied
+  // / rejected tally sourced from the schedule decision audit log.
+  AutoScheduleReport Rep;
+  (void)autoScheduleFunc(buildSubdivNet(subdivnetCfg()), {}, &Rep);
+  std::printf("=== auto-schedule rule tally (SubdivNet) ===\n");
+  std::printf("%-20s %8s %8s %8s\n", "rule", "tried", "applied", "rejected");
+  for (const auto &[Rule, T] : Rep.Rules)
+    std::printf("%-20s %8d %8d %8d\n", Rule.c_str(), T.Tried, T.Applied,
+                T.Rejected);
 
-} // namespace
-
-int main(int argc, char **argv) {
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  printTable(measureFreeTensor(), measureEager());
-  printRuleTally();
+  writeReport("fig17", [&](json::Writer &W) {
+    W.key("benchmark").value("fig17").key("workload").value("subdivnet");
+    writeMetrics(W, "eager", EG);
+    writeMetrics(W, "freetensor", FT);
+    W.key("rules").beginArray();
+    for (const auto &[Rule, T] : Rep.Rules)
+      W.beginObject()
+          .key("rule").value(Rule)
+          .key("tried").value(T.Tried)
+          .key("applied").value(T.Applied)
+          .key("rejected").value(T.Rejected)
+          .endObject();
+    W.endArray();
+  });
   return 0;
 }

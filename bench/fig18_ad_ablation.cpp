@@ -3,184 +3,120 @@
 // Ablation of Selective Intermediate Tensor Materialization (paper §6.4):
 // FT(−) materializes every intermediate needed by the backward pass;
 // FT(+) recomputes the cheap ones (§5.2). Forward and backward passes are
-// timed separately, as in the paper's stacked bars.
+// timed separately, as in the paper's stacked bars, the two strategies
+// interleaved.
 //
 // Expected shape (paper): FT(+) is 1.21x–6.83x faster overall, with the
 // larger win in the forward pass (no tape writes for recomputed tensors).
 //
+// Writes BENCH_fig18.json: per workload and strategy the tapes, their bytes
+// and the peak live kernel-local bytes, and the fastest interleaved sample
+// and the median of each pass.
+//
 //===----------------------------------------------------------------------===//
 
-#include <benchmark/benchmark.h>
-
-#include "bench_common.h"
+#include "harness.h"
 
 using namespace ftb;
 
 namespace {
 
-struct AblationCase {
-  Kernel Fwd, Bwd;
-  std::map<std::string, Buffer> Store;
-  std::map<std::string, Buffer *> FwdArgs, BwdArgs;
-  size_t NumTapes = 0;
-  int64_t TapeBytes = 0;          ///< Allocated tape buffer bytes.
-  uint64_t TapeBytesAnalytic = 0; ///< grad()'s own accounting (GradResult).
-  uint64_t PeakFwdBytes = 0;      ///< Peak live kernel-local heap, forward.
-  uint64_t PeakBwdBytes = 0;      ///< Same for the backward pass.
+struct Strategy {
+  GradCase Pair;
+  int64_t TapeBytes = 0;     ///< Allocated tape buffer bytes.
+  uint64_t PeakFwdBytes = 0; ///< Peak live kernel-local heap, forward.
+  uint64_t PeakBwdBytes = 0; ///< Same for the backward pass.
+  Timing Fwd, Bwd;
 };
 
-AblationCase makeCase(const Func &F, const std::vector<std::string> &Wrt,
-                      std::map<std::string, Buffer> Primal,
-                      TapeStrategy Strategy) {
-  auto G = grad(F, Wrt, Strategy);
-  ftAssert(G.ok(), G.message());
-  AblationCase C;
-  C.Store = std::move(Primal);
-  C.Fwd = compileAuto(G->Forward);
-  C.Bwd = compileAuto(G->Backward);
-  bindGradBuffers(*G, C.Store);
-  for (const std::string &P : G->Forward.Params)
-    C.FwdArgs[P] = &C.Store.at(P);
-  for (const std::string &P : G->Backward.Params)
-    C.BwdArgs[P] = &C.Store.at(P);
-  C.NumTapes = G->Tapes.size();
-  C.TapeBytesAnalytic = G->totalTapeBytes();
-  for (const std::string &T : G->Tapes)
-    C.TapeBytes += static_cast<int64_t>(C.Store.at(T).sizeBytes());
+Strategy measureMemory(GradCase Pair) {
+  Strategy S{std::move(Pair), 0, 0, 0, {}, {}};
+  for (const std::string &T : S.Pair.Grad.Tapes)
+    S.TapeBytes += static_cast<int64_t>(S.Pair.Store.at(T).sizeBytes());
   // Memory accounting runs on separate profile-instrumented compiles of
   // the same scheduled functions, so the timed kernels stay pristine.
   // Peak live bytes covers kernel-allocated (heap) intermediates only;
   // tapes are caller-owned parameters and accounted separately above.
   CodegenOptions ProfOpts;
   ProfOpts.Profile = true;
-  Kernel PF = compileAuto(G->Forward, ProfOpts);
-  Kernel PB = compileAuto(G->Backward, ProfOpts);
-  Status S1 = PF.run(C.FwdArgs);
+  auto PF = Kernel::compile(autoScheduleFunc(S.Pair.Grad.Forward), ProfOpts);
+  auto PB = Kernel::compile(autoScheduleFunc(S.Pair.Grad.Backward), ProfOpts);
+  ftAssert(PF.ok() && PB.ok(), "profile compile failed");
+  Status S1 = PF->run(S.Pair.FwdArgs);
   ftAssert(S1.ok(), S1.message());
-  C.PeakFwdBytes = PF.rtStats().PeakBytes;
-  Status S2 = PB.run(C.BwdArgs);
+  S.PeakFwdBytes = PF->rtStats().PeakBytes;
+  Status S2 = PB->run(S.Pair.BwdArgs);
   ftAssert(S2.ok(), S2.message());
-  C.PeakBwdBytes = PB.rtStats().PeakBytes;
-  return C;
+  S.PeakBwdBytes = PB->rtStats().PeakBytes;
+  return S;
 }
 
-std::map<std::string, Buffer> subdivnetPrimal(const SubdivNetConfig &C) {
-  SubdivNetData D = makeSubdivNetData(C);
-  std::map<std::string, Buffer> P;
-  P.emplace("e", std::move(D.E));
-  P.emplace("adj", std::move(D.Adj));
-  P.emplace("y", Buffer(DataType::Float32, {C.NFaces, C.Feats}));
-  return P;
+struct Workload {
+  std::string Name;
+  Strategy Plus, Minus; ///< FT(+) Selective, FT(−) All.
+};
+
+Workload measure(const std::function<Case()> &Make) {
+  Case C = Make();
+  std::string Name = C.Name;
+  Workload W{Name,
+             measureMemory(gradCase(std::move(C), TapeStrategy::Selective)),
+             measureMemory(gradCase(Make(), TapeStrategy::All))};
+  // The forward runs refill the tapes the backward runs read.
+  std::vector<Timing> T = timeInterleaved(
+      {kernelRuns(W.Plus.Pair.Fwd, W.Plus.Pair.FwdArgs),
+       kernelRuns(W.Minus.Pair.Fwd, W.Minus.Pair.FwdArgs),
+       kernelRuns(W.Plus.Pair.Bwd, W.Plus.Pair.BwdArgs),
+       kernelRuns(W.Minus.Pair.Bwd, W.Minus.Pair.BwdArgs)});
+  W.Plus.Fwd = T[0];
+  W.Minus.Fwd = T[1];
+  W.Plus.Bwd = T[2];
+  W.Minus.Bwd = T[3];
+  for (const Strategy *S : {&W.Plus, &W.Minus})
+    std::printf("%-11s FT(%c): %zu tapes, %lld tape bytes (%llu analytic), "
+                "peak live fwd %llu B / bwd %llu B | fwd best %.3f median "
+                "%.3f ms | bwd best %.3f median %.3f ms\n",
+                W.Name.c_str(), S == &W.Plus ? '+' : '-', S->Pair.Grad.Tapes.size(),
+                static_cast<long long>(S->TapeBytes),
+                static_cast<unsigned long long>(S->Pair.Grad.totalTapeBytes()),
+                static_cast<unsigned long long>(S->PeakFwdBytes),
+                static_cast<unsigned long long>(S->PeakBwdBytes),
+                S->Fwd.Best * 1e3, S->Fwd.Median * 1e3, S->Bwd.Best * 1e3,
+                S->Bwd.Median * 1e3);
+  return W;
 }
 
-std::map<std::string, Buffer> longformerPrimal(const LongformerConfig &C) {
-  LongformerData D = makeLongformerData(C);
-  std::map<std::string, Buffer> P;
-  P.emplace("Q", std::move(D.Q));
-  P.emplace("K", std::move(D.K));
-  P.emplace("V", std::move(D.V));
-  P.emplace("y", Buffer(DataType::Float32, {C.SeqLen, C.Feats}));
-  return P;
+void writeStrategy(json::Writer &W, const char *Key, const Strategy &S) {
+  W.key(Key).beginObject()
+      .key("tapes").value(S.Pair.Grad.Tapes.size())
+      .key("tape_bytes").value(S.TapeBytes)
+      .key("tape_bytes_analytic").value(S.Pair.Grad.totalTapeBytes())
+      .key("peak_live_fwd_bytes").value(S.PeakFwdBytes)
+      .key("peak_live_bwd_bytes").value(S.PeakBwdBytes);
+  W.key("forward");
+  writeMs(W, S.Fwd);
+  W.key("backward");
+  writeMs(W, S.Bwd);
+  W.endObject();
 }
-
-std::map<std::string, Buffer> softrasPrimal(const SoftRasConfig &C) {
-  SoftRasData D = makeSoftRasData(C);
-  std::map<std::string, Buffer> P;
-  P.emplace("verts", std::move(D.Verts));
-  P.emplace("px", std::move(D.Px));
-  P.emplace("py", std::move(D.Py));
-  P.emplace("img", Buffer(DataType::Float32, {C.numPixels()}));
-  return P;
-}
-
-AblationCase &getCase(const char *Which, TapeStrategy S) {
-  static std::map<std::string, AblationCase> Cache;
-  std::string Key = std::string(Which) +
-                    (S == TapeStrategy::Selective ? "+" : "-");
-  auto It = Cache.find(Key);
-  if (It != Cache.end())
-    return It->second;
-  AblationCase C;
-  if (std::string(Which) == "subdivnet") {
-    SubdivNetConfig Cfg = subdivnetCfg();
-    C = makeCase(buildSubdivNet(Cfg), {"e"}, subdivnetPrimal(Cfg), S);
-  } else if (std::string(Which) == "longformer") {
-    LongformerConfig Cfg = longformerCfg();
-    C = makeCase(buildLongformer(Cfg), {"Q", "K", "V"},
-                 longformerPrimal(Cfg), S);
-  } else {
-    SoftRasConfig Cfg = softrasCfg();
-    C = makeCase(buildSoftRas(Cfg), {"verts"}, softrasPrimal(Cfg), S);
-  }
-  std::printf("# %-12s FT(%c): %zu tapes, %lld tape bytes "
-              "(%llu analytic), peak live fwd %llu B / bwd %llu B\n",
-              Which, S == TapeStrategy::Selective ? '+' : '-', C.NumTapes,
-              static_cast<long long>(C.TapeBytes),
-              static_cast<unsigned long long>(C.TapeBytesAnalytic),
-              static_cast<unsigned long long>(C.PeakFwdBytes),
-              static_cast<unsigned long long>(C.PeakBwdBytes));
-  return Cache.emplace(Key, std::move(C)).first->second;
-}
-
-void runPass(benchmark::State &State, const char *Which, TapeStrategy S,
-             bool Backward) {
-  AblationCase &C = getCase(Which, S);
-  if (Backward) {
-    // One forward fill so tapes hold valid data.
-    Status St = C.Fwd.run(C.FwdArgs);
-    ftAssert(St.ok(), St.message());
-  }
-  for (auto _ : State) {
-    Status St = Backward ? C.Bwd.run(C.BwdArgs) : C.Fwd.run(C.FwdArgs);
-    ftAssert(St.ok(), St.message());
-  }
-  State.counters["tapes"] = static_cast<double>(C.NumTapes);
-  State.counters["tape_bytes"] = static_cast<double>(C.TapeBytes);
-  State.counters["tape_bytes_analytic"] =
-      static_cast<double>(C.TapeBytesAnalytic);
-  State.counters["peak_live_bytes"] =
-      static_cast<double>(Backward ? C.PeakBwdBytes : C.PeakFwdBytes);
-}
-
-#define FT_ABLATION(NAME, KEY)                                                \
-  void Fig18_##NAME##_FTplus_Forward(benchmark::State &S) {                   \
-    runPass(S, KEY, TapeStrategy::Selective, false);                          \
-  }                                                                           \
-  BENCHMARK(Fig18_##NAME##_FTplus_Forward);                                   \
-  void Fig18_##NAME##_FTminus_Forward(benchmark::State &S) {                  \
-    runPass(S, KEY, TapeStrategy::All, false);                                \
-  }                                                                           \
-  BENCHMARK(Fig18_##NAME##_FTminus_Forward);                                  \
-  void Fig18_##NAME##_FTplus_Backward(benchmark::State &S) {                  \
-    runPass(S, KEY, TapeStrategy::Selective, true);                           \
-  }                                                                           \
-  BENCHMARK(Fig18_##NAME##_FTplus_Backward);                                  \
-  void Fig18_##NAME##_FTminus_Backward(benchmark::State &S) {                 \
-    runPass(S, KEY, TapeStrategy::All, true);                                 \
-  }                                                                           \
-  BENCHMARK(Fig18_##NAME##_FTminus_Backward);
-
-FT_ABLATION(SubdivNet, "subdivnet")
-FT_ABLATION(Longformer, "longformer")
-FT_ABLATION(SoftRas, "softras")
 
 } // namespace
 
-// Defaults the JSON report to BENCH_fig18.json so the tape/peak-memory
-// counters land next to the other BENCH_*.json artifacts.
-int main(int argc, char **argv) {
-  std::vector<char *> Args(argv, argv + argc);
-  bool HasOut = false;
-  for (int I = 1; I < argc; ++I)
-    HasOut |= std::string(argv[I]).rfind("--benchmark_out", 0) == 0;
-  static std::string OutArg = "--benchmark_out=BENCH_fig18.json";
-  static std::string FmtArg = "--benchmark_out_format=json";
-  if (!HasOut) {
-    Args.push_back(OutArg.data());
-    Args.push_back(FmtArg.data());
-  }
-  int Argc = static_cast<int>(Args.size());
-  benchmark::Initialize(&Argc, Args.data());
-  benchmark::RunSpecifiedBenchmarks();
+int main() {
+  CacheScope Cache;
+  std::vector<Workload> Rows;
+  Rows.push_back(measure([] { return subdivnetCase(); }));
+  Rows.push_back(measure([] { return longformerCase(); }));
+  Rows.push_back(measure([] { return softrasCase(); }));
+  writeReport("fig18", [&](json::Writer &W) {
+    W.key("benchmark").value("fig18").key("workloads").beginArray();
+    for (const Workload &R : Rows) {
+      W.beginObject().key("name").value(R.Name);
+      writeStrategy(W, "plus", R.Plus);
+      writeStrategy(W, "minus", R.Minus);
+      W.endObject();
+    }
+    W.endArray();
+  });
   return 0;
 }

@@ -14,27 +14,12 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <unistd.h>
-#include <vector>
-
-#include "bench_common.h"
-#include "codegen/kernel_cache.h"
 #include "frontend/builder.h"
+#include "harness.h"
 
 using namespace ftb;
 
 namespace {
-
-double seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 struct CacheResult {
   std::string Name;
@@ -57,13 +42,16 @@ std::vector<char> outputBytes(const std::map<std::string, Buffer *> &Args,
   return Out;
 }
 
-/// Compiles \p Opt three ways (cold / mem / disk) against the private cache
-/// dir, runs each kernel on \p Args, and bit-compares the outputs.
-CacheResult measure(const std::string &Name, const Func &Opt,
-                    std::map<std::string, Buffer *> Args,
-                    const std::vector<std::string> &Outputs) {
+/// Auto-schedules \p C's program, compiles it three ways (cold / mem /
+/// disk) against the private cache dir, runs each kernel on the case's
+/// arguments, and bit-compares the outputs.
+CacheResult measure(Case &C) {
   CacheResult R;
-  R.Name = Name;
+  R.Name = C.Name;
+  const std::string &Name = C.Name;
+  Func Opt = autoScheduleFunc(C.F);
+  std::map<std::string, Buffer *> Args = C.args();
+  const std::vector<std::string> Outputs = {C.Out};
 
   kernel_cache::memReset();
   double T0 = seconds();
@@ -169,51 +157,10 @@ SearchResult runSearch() {
 } // namespace
 
 int main() {
-  // A fresh private cache directory per invocation: cold means cold, and
-  // concurrent bench runs cannot contaminate each other.
-  char Tmpl[] = "/tmp/ftjitbench.XXXXXX";
-  ftAssert(::mkdtemp(Tmpl) != nullptr, "mkdtemp failed");
-  ::setenv("FT_CACHE_DIR", Tmpl, 1);
-  ::setenv("FT_CACHE", "1", 1);
-
-  CacheResult Results[4];
-  {
-    SubdivNetConfig C = subdivnetCfg();
-    SubdivNetData D = makeSubdivNetData(C);
-    Buffer Y(DataType::Float32, {C.NFaces, C.Feats});
-    Results[0] =
-        measure("subdivnet", autoScheduleFunc(buildSubdivNet(C)),
-                {{"e", &D.E}, {"adj", &D.Adj}, {"y", &Y}}, {"y"});
-  }
-  {
-    LongformerConfig C = longformerCfg();
-    LongformerData D = makeLongformerData(C);
-    Buffer Y(DataType::Float32, {C.SeqLen, C.Feats});
-    Results[1] =
-        measure("longformer", autoScheduleFunc(buildLongformer(C)),
-                {{"Q", &D.Q}, {"K", &D.K}, {"V", &D.V}, {"y", &Y}}, {"y"});
-  }
-  {
-    SoftRasConfig C = softrasCfg();
-    SoftRasData D = makeSoftRasData(C);
-    Buffer Img(DataType::Float32, {C.numPixels()});
-    Results[2] = measure(
-        "softras", autoScheduleFunc(buildSoftRas(C)),
-        {{"verts", &D.Verts}, {"px", &D.Px}, {"py", &D.Py}, {"img", &Img}},
-        {"img"});
-  }
-  {
-    GATConfig C = gatCfg();
-    GATData D = makeGATData(C);
-    Buffer Y(DataType::Float32, {C.NNodes, C.Feats});
-    Results[3] = measure("gat", autoScheduleFunc(buildGAT(C)),
-                         {{"h", &D.H},
-                          {"adj", &D.Adj},
-                          {"a1", &D.A1},
-                          {"a2", &D.A2},
-                          {"y", &Y}},
-                         {"y"});
-  }
+  CacheScope Cache;
+  std::vector<CacheResult> Results;
+  for (Case &C : paperCases())
+    Results.push_back(measure(C));
 
   bool Ok = true;
   double WorstSpeedup = 1e30;
@@ -234,31 +181,30 @@ int main() {
               S.NoCacheSec, S.ColdSec, S.WarmSec, S.Deduped, S.Measured);
   Ok = Ok && S.Deduped > 0 && S.WarmSec < S.NoCacheSec;
 
-  std::FILE *F = std::fopen("BENCH_jit_cache.json", "w");
-  ftAssert(F != nullptr, "could not open BENCH_jit_cache.json");
-  std::fprintf(F, "{\n  \"benchmark\": \"jit_kernel_cache\",\n"
-                  "  \"target_speedup\": 20.0,\n  \"workloads\": [\n");
-  for (int I = 0; I < 4; ++I) {
-    const CacheResult &R = Results[I];
-    std::fprintf(F,
-                 "    {\"name\": \"%s\", \"cold_sec\": %.6f, "
-                 "\"warm_mem_sec\": %.6f, \"warm_disk_sec\": %.6f, "
-                 "\"speedup_mem\": %.2f, \"speedup_disk\": %.2f, "
-                 "\"bit_identical\": %s}%s\n",
-                 R.Name.c_str(), R.ColdSec, R.WarmMemSec, R.WarmDiskSec,
-                 R.speedupMem(), R.speedupDisk(),
-                 R.BitIdentical ? "true" : "false", I < 3 ? "," : "");
-  }
-  std::fprintf(F,
-               "  ],\n  \"worst_speedup\": %.2f,\n  \"search\": "
-               "{\"no_cache_sec\": %.4f, \"cold_sec\": %.4f, \"warm_sec\": "
-               "%.4f, \"candidates_deduped\": %d, \"candidates_measured\": "
-               "%d}\n}\n",
-               WorstSpeedup, S.NoCacheSec, S.ColdSec, S.WarmSec, S.Deduped,
-               S.Measured);
-  std::fclose(F);
+  writeReport("jit_cache", [&](json::Writer &W) {
+    W.key("benchmark").value("jit_kernel_cache");
+    W.key("target_speedup").value(20.0).key("workloads").beginArray();
+    for (const CacheResult &R : Results)
+      W.beginObject()
+          .key("name").value(R.Name)
+          .key("cold_sec").value(R.ColdSec)
+          .key("warm_mem_sec").value(R.WarmMemSec)
+          .key("warm_disk_sec").value(R.WarmDiskSec)
+          .key("speedup_mem").value(R.speedupMem())
+          .key("speedup_disk").value(R.speedupDisk())
+          .key("bit_identical").value(R.BitIdentical)
+          .endObject();
+    W.endArray();
+    W.key("worst_speedup").value(WorstSpeedup);
+    W.key("search").beginObject()
+        .key("no_cache_sec").value(S.NoCacheSec)
+        .key("cold_sec").value(S.ColdSec)
+        .key("warm_sec").value(S.WarmSec)
+        .key("candidates_deduped").value(S.Deduped)
+        .key("candidates_measured").value(S.Measured)
+        .endObject();
+  });
 
-  std::system(("rm -rf '" + std::string(Tmpl) + "'").c_str());
   std::printf("%s: worst warm speedup %.1fx (target >= 20x)\n",
               Ok ? "PASS" : "FAIL", WorstSpeedup);
   return Ok ? 0 : 1;

@@ -14,33 +14,12 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <string>
-
-#include "bench_common.h"
 #include "codegen/codegen.h"
+#include "harness.h"
 
 using namespace ftb;
 
 namespace {
-
-double seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Seconds per kernel run over one batch.
-double timeRuns(Kernel &K, std::map<std::string, Buffer *> &Args, int Runs) {
-  double T0 = seconds();
-  for (int I = 0; I < Runs; ++I) {
-    Status S = K.run(Args);
-    ftAssert(S.ok(), S.message());
-  }
-  return (seconds() - T0) / Runs;
-}
 
 struct WorkloadResult {
   std::string Name;
@@ -50,14 +29,14 @@ struct WorkloadResult {
   bool EmissionIdentical = false;
 };
 
-/// Schedules \p F once, checks the profile-off emission is byte-identical
-/// to the default emission, compiles both modes, and A/Bs them.
-WorkloadResult measure(const std::string &Name, Func F,
-                       std::map<std::string, Buffer *> Args, int RunsPerBatch) {
+/// Schedules \p C's program once, checks the profile-off emission is
+/// byte-identical to the default emission, compiles both modes, and A/Bs
+/// them.
+WorkloadResult measure(Case &C, int RunsPerBatch) {
   WorkloadResult R;
-  R.Name = Name;
+  R.Name = C.Name;
 
-  Func Opt = autoScheduleFunc(std::move(F));
+  Func Opt = autoScheduleFunc(C.F);
 
   // Zero-cost-when-off: CodegenOptions{} must not change the emission.
   std::string Default = generateCpp(Opt);
@@ -71,16 +50,14 @@ WorkloadResult measure(const std::string &Name, Func F,
   auto KOn = Kernel::compile(Opt, ProfOpts);
   ftAssert(KOn.ok(), KOn.message());
 
-  // Warm up the thread pool and caches in both kernels.
-  timeRuns(*KOff, Args, 20);
-  timeRuns(*KOn, Args, 20);
-
-  constexpr int Batches = 13;
-  double BestOff = 1e30, BestOn = 1e30;
-  for (int B = 0; B < Batches; ++B) {
-    BestOff = std::min(BestOff, timeRuns(*KOff, Args, RunsPerBatch));
-    BestOn = std::min(BestOn, timeRuns(*KOn, Args, RunsPerBatch));
-  }
+  // Warm up the thread pool and caches in both kernels, then keep each
+  // mode's best batch.
+  auto Args = C.args();
+  std::vector<Timing> T =
+      timeInterleaved({kernelRuns(*KOff, Args), kernelRuns(*KOn, Args)},
+                      {/*Warmup=*/20, /*Rounds=*/13, /*Samples=*/1,
+                       /*Ops=*/RunsPerBatch});
+  double BestOff = T[0].Best, BestOn = T[1].Best;
 
   R.OffMs = BestOff * 1e3;
   R.OnMs = BestOn * 1e3;
@@ -91,45 +68,11 @@ WorkloadResult measure(const std::string &Name, Func F,
 } // namespace
 
 int main() {
-  WorkloadResult Results[4];
-
-  {
-    SubdivNetConfig C = subdivnetCfg();
-    SubdivNetData D = makeSubdivNetData(C);
-    Buffer Y(DataType::Float32, {C.NFaces, C.Feats});
-    Results[0] = measure(
-        "subdivnet", buildSubdivNet(C),
-        {{"e", &D.E}, {"adj", &D.Adj}, {"y", &Y}}, 100);
-  }
-  {
-    LongformerConfig C = longformerCfg();
-    LongformerData D = makeLongformerData(C);
-    Buffer Y(DataType::Float32, {C.SeqLen, C.Feats});
-    Results[1] = measure(
-        "longformer", buildLongformer(C),
-        {{"Q", &D.Q}, {"K", &D.K}, {"V", &D.V}, {"y", &Y}}, 100);
-  }
-  {
-    SoftRasConfig C = softrasCfg();
-    SoftRasData D = makeSoftRasData(C);
-    Buffer Img(DataType::Float32, {C.numPixels()});
-    Results[2] = measure(
-        "softras", buildSoftRas(C),
-        {{"verts", &D.Verts}, {"px", &D.Px}, {"py", &D.Py}, {"img", &Img}},
-        20);
-  }
-  {
-    GATConfig C = gatCfg();
-    GATData D = makeGATData(C);
-    Buffer Y(DataType::Float32, {C.NNodes, C.Feats});
-    Results[3] = measure("gat", buildGAT(C),
-                         {{"h", &D.H},
-                          {"adj", &D.Adj},
-                          {"a1", &D.A1},
-                          {"a2", &D.A2},
-                          {"y", &Y}},
-                         100);
-  }
+  CacheScope Cache;
+  std::vector<WorkloadResult> Results;
+  // A SoftRas run takes ~20x a SubdivNet one, so its batches are shorter.
+  for (Case &C : paperCases())
+    Results.push_back(measure(C, C.Name == "softras" ? 20 : 100));
 
   bool Ok = true;
   double WorstPct = -1e30;
@@ -142,21 +85,20 @@ int main() {
     WorstPct = std::max(WorstPct, R.OverheadPct);
   }
 
-  std::FILE *F = std::fopen("BENCH_profile_overhead.json", "w");
-  ftAssert(F != nullptr, "could not open BENCH_profile_overhead.json");
-  std::fprintf(F, "{\n  \"benchmark\": \"profile_overhead_fig16a_forward\",\n"
-                  "  \"target_pct\": 10.0,\n  \"workloads\": [\n");
-  for (int I = 0; I < 4; ++I) {
-    const WorkloadResult &R = Results[I];
-    std::fprintf(F,
-                 "    {\"name\": \"%s\", \"run_ms_off\": %.6f, "
-                 "\"run_ms_on\": %.6f, \"overhead_pct\": %.4f, "
-                 "\"emission_identical\": %s}%s\n",
-                 R.Name.c_str(), R.OffMs, R.OnMs, R.OverheadPct,
-                 R.EmissionIdentical ? "true" : "false", I < 3 ? "," : "");
-  }
-  std::fprintf(F, "  ],\n  \"worst_overhead_pct\": %.4f\n}\n", WorstPct);
-  std::fclose(F);
+  writeReport("profile_overhead", [&](json::Writer &W) {
+    W.key("benchmark").value("profile_overhead_fig16a_forward");
+    W.key("target_pct").value(10.0).key("workloads").beginArray();
+    for (const WorkloadResult &R : Results)
+      W.beginObject()
+          .key("name").value(R.Name)
+          .key("run_ms_off").value(R.OffMs)
+          .key("run_ms_on").value(R.OnMs)
+          .key("overhead_pct").value(R.OverheadPct)
+          .key("emission_identical").value(R.EmissionIdentical)
+          .endObject();
+    W.endArray();
+    W.key("worst_overhead_pct").value(WorstPct);
+  });
 
   std::printf("%s: worst instrumented overhead %.2f%% (target < 10%%)\n",
               Ok ? "PASS" : "FAIL", WorstPct);

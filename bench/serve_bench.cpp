@@ -23,32 +23,16 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <string>
-#include <unistd.h>
-#include <vector>
-
-#include "codegen/jit.h"
-#include "codegen/kernel_cache.h"
 #include "frontend/builder.h"
+#include "harness.h"
 #include "serve/serve.h"
 #include "serve/telemetry.h"
-#include "support/error.h"
 #include "support/metrics.h"
 
-using namespace ft;
+using namespace ftb;
 using namespace ft::serve;
 
 namespace {
-
-double seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 constexpr int64_t kN = 4096;
 
@@ -95,13 +79,13 @@ Percentiles percentiles(std::vector<double> LatSec) {
   return P;
 }
 
-void jsonTier(std::FILE *F, const char *Name, const Percentiles &P,
-              bool TrailingComma) {
-  std::fprintf(F,
-               "    \"%s\": {\"count\": %zu, \"p50_us\": %.1f, "
-               "\"p95_us\": %.1f, \"p99_us\": %.1f}%s\n",
-               Name, P.Count, P.P50Us, P.P95Us, P.P99Us,
-               TrailingComma ? "," : "");
+void writeTier(json::Writer &W, const char *Name, const Percentiles &P) {
+  W.key(Name).beginObject()
+      .key("count").value(P.Count)
+      .key("p50_us").value(P.P50Us)
+      .key("p95_us").value(P.P95Us)
+      .key("p99_us").value(P.P99Us)
+      .endObject();
 }
 
 //===------------------------------------------------------------------===//
@@ -159,11 +143,7 @@ int checkAgreement(const char *Name, const metrics::HistogramSnapshot &H,
 } // namespace
 
 int main() {
-  char Tmpl[] = "/tmp/ftservebench.XXXXXX";
-  ftAssert(::mkdtemp(Tmpl) != nullptr, "mkdtemp failed");
-  ::setenv("FT_CACHE_DIR", Tmpl, 1);
-  ::setenv("FT_CACHE", "1", 1);
-  kernel_cache::memReset();
+  CacheScope Cache;
 
   // Telemetry on (hooks only, no exporter): the serve/ histograms fill in
   // parallel with the raw Response samples this bench already collects.
@@ -339,41 +319,42 @@ int main() {
               (unsigned long long)QH.Count, QH.quantile(0.50) / 1e3,
               QH.quantile(0.95) / 1e3, QH.quantile(0.99) / 1e3, MaxDelta);
 
-  std::FILE *F = std::fopen("BENCH_serve.json", "w");
-  ftAssert(F != nullptr, "could not open BENCH_serve.json");
-  std::fprintf(F, "{\n  \"benchmark\": \"serve\",\n");
-  std::fprintf(F,
-               "  \"cold\": {\"compile_ref_sec\": %.6f, "
-               "\"first_request_sec\": %.6f, \"hidden\": %s},\n",
-               CompileRefSec, ColdFirstSec,
-               ColdFirstSec < CompileRefSec ? "true" : "false");
-  std::fprintf(F,
-               "  \"warm\": {\"requests\": %llu, \"jit_served\": %llu, "
-               "\"jit_fraction\": %.4f, \"target_fraction\": 0.95},\n",
-               (unsigned long long)WarmTotal, (unsigned long long)WarmJit,
-               double(WarmJit) / double(WarmTotal));
-  std::fprintf(F,
-               "  \"overload\": {\"queue_cap\": %zu, \"offered\": %llu, "
-               "\"accepted\": %llu, \"rejected\": %llu},\n",
-               OverloadQueueCap, (unsigned long long)Offered,
-               (unsigned long long)Accepted, (unsigned long long)RejectedCnt);
-  std::fprintf(F, "  \"tiers\": {\n");
-  jsonTier(F, "interp", PI, true);
-  jsonTier(F, "jit", PJ, false);
-  std::fprintf(F, "  },\n");
-  std::fprintf(F,
-               "  \"queue_wait\": {\"count\": %llu, \"p50_us\": %.1f, "
-               "\"p95_us\": %.1f, \"p99_us\": %.1f},\n",
-               (unsigned long long)QH.Count, QH.quantile(0.50) / 1e3,
-               QH.quantile(0.95) / 1e3, QH.quantile(0.99) / 1e3);
-  std::fprintf(F,
-               "  \"hist_agreement\": {\"max_bucket_delta\": %d, "
-               "\"tolerance\": 1},\n",
-               MaxDelta);
-  std::fprintf(F, "  \"pass\": %s\n}\n", Ok ? "true" : "false");
-  std::fclose(F);
+  writeReport("serve", [&](json::Writer &W) {
+    W.key("benchmark").value("serve");
+    W.key("cold").beginObject()
+        .key("compile_ref_sec").value(CompileRefSec)
+        .key("first_request_sec").value(ColdFirstSec)
+        .key("hidden").value(ColdFirstSec < CompileRefSec)
+        .endObject();
+    W.key("warm").beginObject()
+        .key("requests").value(WarmTotal)
+        .key("jit_served").value(WarmJit)
+        .key("jit_fraction").value(double(WarmJit) / double(WarmTotal))
+        .key("target_fraction").value(0.95)
+        .endObject();
+    W.key("overload").beginObject()
+        .key("queue_cap").value(OverloadQueueCap)
+        .key("offered").value(Offered)
+        .key("accepted").value(Accepted)
+        .key("rejected").value(RejectedCnt)
+        .endObject();
+    W.key("tiers").beginObject();
+    writeTier(W, "interp", PI);
+    writeTier(W, "jit", PJ);
+    W.endObject();
+    W.key("queue_wait").beginObject()
+        .key("count").value(QH.Count)
+        .key("p50_us").value(QH.quantile(0.50) / 1e3)
+        .key("p95_us").value(QH.quantile(0.95) / 1e3)
+        .key("p99_us").value(QH.quantile(0.99) / 1e3)
+        .endObject();
+    W.key("hist_agreement").beginObject()
+        .key("max_bucket_delta").value(MaxDelta)
+        .key("tolerance").value(1)
+        .endObject();
+    W.key("pass").value(Ok);
+  });
 
-  std::system(("rm -rf '" + std::string(Tmpl) + "'").c_str());
   std::printf("%s\n", Ok ? "PASS" : "FAIL");
   return Ok ? 0 : 1;
 }

@@ -15,13 +15,11 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstring>
 
-#include "bench_common.h"
+#include "harness.h"
+#include "interp/interp.h"
 
 using namespace ftb;
 
@@ -37,65 +35,37 @@ struct SimdResult {
   double speedup() const { return SimdMs > 0 ? BaseMs / SimdMs : 0; }
 };
 
-double bestOfMs(Kernel &K, const std::map<std::string, Buffer *> &Args,
-                int Runs) {
-  double Best = 1e300;
-  for (int I = 0; I < Runs; ++I) {
-    auto T0 = std::chrono::steady_clock::now();
-    Status S = K.run(Args);
-    ftAssert(S.ok(), S.message());
-    Best = std::min(Best, std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - T0)
-                              .count());
-  }
-  return Best;
-}
-
-/// Best-of timing for both kernels, alternating short batches so slow
-/// machine-wide drift (frequency scaling, background load) hits both sides
-/// equally instead of biasing whichever ran last.
-void interleavedBestOf(Kernel &BK, Kernel &SK,
-                       const std::map<std::string, Buffer *> &Args,
-                       double &BaseMs, double &SimdMs) {
-  constexpr int kRounds = 6, kRunsPerRound = 5;
-  BaseMs = SimdMs = 1e300;
-  for (int R = 0; R < kRounds; ++R) {
-    BaseMs = std::min(BaseMs, bestOfMs(BK, Args, kRunsPerRound));
-    SimdMs = std::min(SimdMs, bestOfMs(SK, Args, kRunsPerRound));
-  }
-}
-
-/// Times baseline vs simd schedules of \p F and diffs the simd output
-/// (buffer \p OutName in \p Args) against the interpreter.
-SimdResult measure(const std::string &Name, const Func &F,
-                   const std::map<std::string, Buffer *> &Args,
-                   const std::string &OutName) {
+/// Times baseline vs simd schedules of \p C's program and diffs the simd
+/// output against the interpreter.
+SimdResult measure(Case &C) {
   SimdResult R;
-  R.Name = Name;
+  R.Name = C.Name;
 
   AutoScheduleOptions BaseOpts;
   BaseOpts.VectorWidth = 0; // Legacy hint-only path.
   AutoScheduleOptions SimdOpts; // Default: explicit width 16.
 
-  Func BaseF = autoScheduleFunc(F, BaseOpts);
-  Func SimdF = autoScheduleFunc(F, SimdOpts);
+  Func BaseF = autoScheduleFunc(C.F, BaseOpts);
+  Func SimdF = autoScheduleFunc(C.F, SimdOpts);
   auto BK = Kernel::compile(BaseF);
   ftAssert(BK.ok(), BK.message());
   auto SK = Kernel::compile(SimdF);
   ftAssert(SK.ok(), SK.message());
   R.SimdEmitted = SK->source().find("omp simd") != std::string::npos;
 
-  constexpr int kWarmup = 2;
-  bestOfMs(*BK, Args, kWarmup);
-  bestOfMs(*SK, Args, kWarmup);
-  interleavedBestOf(*BK, *SK, Args, R.BaseMs, R.SimdMs);
+  auto Args = C.args();
+  std::vector<Timing> T =
+      timeInterleaved({kernelRuns(*BK, Args), kernelRuns(*SK, Args)},
+                      {/*Warmup=*/2, /*Rounds=*/6, /*Samples=*/5});
+  R.BaseMs = T[0].Best * 1e3;
+  R.SimdMs = T[1].Best * 1e3;
 
   // The last run above was the simd kernel: snapshot its output, then
   // recompute the reference with the interpreter on the unscheduled program.
-  Buffer *Out = Args.at(OutName);
+  Buffer *Out = Args.at(C.Out);
   std::vector<float> Got(Out->as<float>(), Out->as<float>() + Out->numel());
   std::memset(Out->raw(), 0, Out->sizeBytes());
-  interpret(F, Args);
+  interpret(C.F, Args);
   R.DiffOk = true;
   for (int64_t I = 0; I < Out->numel(); ++I) {
     double Ref = Out->as<float>()[I];
@@ -112,51 +82,23 @@ SimdResult measure(const std::string &Name, const Func &F,
 } // namespace
 
 int main() {
-  SimdResult Results[4];
-  {
-    SubdivNetConfig C = subdivnetCfg();
-    SubdivNetData D = makeSubdivNetData(C);
-    Buffer Y(DataType::Float32, {C.NFaces, C.Feats});
-    Results[0] = measure("subdivnet", buildSubdivNet(C),
-                         {{"e", &D.E}, {"adj", &D.Adj}, {"y", &Y}}, "y");
-  }
-  {
-    LongformerConfig C = longformerCfg();
-    LongformerData D = makeLongformerData(C);
-    Buffer Y(DataType::Float32, {C.SeqLen, C.Feats});
-    Results[1] =
-        measure("longformer", buildLongformer(C),
-                {{"Q", &D.Q}, {"K", &D.K}, {"V", &D.V}, {"y", &Y}}, "y");
-  }
-  {
-    SoftRasConfig C = softrasCfg();
-    SoftRasData D = makeSoftRasData(C);
-    Buffer Img(DataType::Float32, {C.numPixels()});
-    Results[2] = measure(
-        "softras", buildSoftRas(C),
-        {{"verts", &D.Verts}, {"px", &D.Px}, {"py", &D.Py}, {"img", &Img}},
-        "img");
-  }
-  {
-    GATConfig C = gatCfg();
-    // Bench at a realistic GAT hidden size (published configs use 64+
-    // features per head); the default 32 under-weights the vectorizable
-    // dot products against the fixed per-neighbor sigmoid.
-    C.Feats = 64;
-    GATData D = makeGATData(C);
-    Buffer Y(DataType::Float32, {C.NNodes, C.Feats});
-    Results[3] = measure("gat", buildGAT(C),
-                         {{"h", &D.H},
-                          {"adj", &D.Adj},
-                          {"a1", &D.A1},
-                          {"a2", &D.A2},
-                          {"y", &Y}},
-                         "y");
-  }
+  CacheScope Cache;
+  // Bench at a realistic GAT hidden size (published configs use 64+
+  // features per head); the default 32 under-weights the vectorizable
+  // dot products against the fixed per-neighbor sigmoid.
+  GATConfig Gat = gatCfg();
+  Gat.Feats = 64;
+  std::vector<Case> Cases;
+  Cases.push_back(subdivnetCase());
+  Cases.push_back(longformerCase());
+  Cases.push_back(softrasCase());
+  Cases.push_back(gatCase(Gat));
 
+  std::vector<SimdResult> Results;
   int NumFast = 0;
   bool AllMatch = true;
-  for (const SimdResult &R : Results) {
+  for (Case &C : Cases) {
+    const SimdResult &R = Results.emplace_back(measure(C));
     std::printf("%-10s base %8.3f ms  simd %8.3f ms  (%5.2fx)  "
                 "max_abs_diff %.2e  omp-simd %s  match %s\n",
                 R.Name.c_str(), R.BaseMs, R.SimdMs, R.speedup(), R.MaxAbsDiff,
@@ -165,26 +107,24 @@ int main() {
     AllMatch = AllMatch && R.DiffOk;
   }
 
-  std::FILE *F = std::fopen("BENCH_simd.json", "w");
-  ftAssert(F != nullptr, "could not open BENCH_simd.json");
-  std::fprintf(F, "{\n  \"benchmark\": \"simd_lowering\",\n"
-                  "  \"target_speedup\": 1.3,\n  \"vector_width\": 16,\n"
-                  "  \"workloads\": [\n");
-  for (int I = 0; I < 4; ++I) {
-    const SimdResult &R = Results[I];
-    std::fprintf(F,
-                 "    {\"name\": \"%s\", \"base_ms\": %.4f, \"simd_ms\": "
-                 "%.4f, \"speedup\": %.3f, \"max_abs_diff\": %.3e, "
-                 "\"omp_simd_emitted\": %s, \"matches_interpreter\": %s}%s\n",
-                 R.Name.c_str(), R.BaseMs, R.SimdMs, R.speedup(),
-                 R.MaxAbsDiff, R.SimdEmitted ? "true" : "false",
-                 R.DiffOk ? "true" : "false", I < 3 ? "," : "");
-  }
-  std::fprintf(F,
-               "  ],\n  \"workloads_at_target\": %d,\n"
-               "  \"all_match_interpreter\": %s\n}\n",
-               NumFast, AllMatch ? "true" : "false");
-  std::fclose(F);
+  writeReport("simd", [&](json::Writer &W) {
+    W.key("benchmark").value("simd_lowering");
+    W.key("target_speedup").value(1.3).key("vector_width").value(16);
+    W.key("workloads").beginArray();
+    for (const SimdResult &R : Results)
+      W.beginObject()
+          .key("name").value(R.Name)
+          .key("base_ms").value(R.BaseMs)
+          .key("simd_ms").value(R.SimdMs)
+          .key("speedup").value(R.speedup())
+          .key("max_abs_diff").value(R.MaxAbsDiff)
+          .key("omp_simd_emitted").value(R.SimdEmitted)
+          .key("matches_interpreter").value(R.DiffOk)
+          .endObject();
+    W.endArray();
+    W.key("workloads_at_target").value(NumFast);
+    W.key("all_match_interpreter").value(AllMatch);
+  });
 
   bool Ok = AllMatch && NumFast >= 2;
   std::printf("%s: %d/4 workloads at >= 1.3x, interpreter match %s\n",

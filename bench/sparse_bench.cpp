@@ -17,74 +17,16 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <string>
-#include <unistd.h>
-#include <vector>
 
-#include "autoschedule/autoschedule.h"
-#include "codegen/jit.h"
-#include "codegen/kernel_cache.h"
-#include "opframework/eager.h"
+#include "harness.h"
 #include "pass/simplify.h"
 #include "serve/telemetry.h"
-#include "support/error.h"
 #include "workloads/sparse_workloads.h"
 
-using namespace ft;
-using namespace ft::workloads;
+using namespace ftb;
 
 namespace {
-
-double seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Median-of-reps wall time of one thunk, seconds. Two warm-up runs, then
-/// enough reps to accumulate ~80 ms of measurement.
-double timeThunk(const std::function<void()> &Run) {
-  for (int I = 0; I < 2; ++I)
-    Run();
-  std::vector<double> Times;
-  double Budget = 0;
-  while ((Budget < 0.08 || Times.size() < 5) && Times.size() < 200) {
-    double T0 = seconds();
-    Run();
-    double Dt = seconds() - T0;
-    Times.push_back(Dt);
-    Budget += Dt;
-  }
-  std::sort(Times.begin(), Times.end());
-  return Times[Times.size() / 2];
-}
-
-double timeKernel(const Kernel &K, const std::map<std::string, Buffer *> &A) {
-  return timeThunk([&] { ftAssert(K.run(A).ok(), "timed run failed"); });
-}
-
-/// Compiles a sparse program the way the serving plane's hot tier does:
-/// simplify, autoschedule (segment loops keep their data-dependent
-/// bounds; row loops are parallelized when legal), -O3.
-Kernel hotKernel(const Func &F) {
-  auto K = Kernel::compile(autoScheduleFunc(simplify(F)), CodegenOptions{},
-                           "-O3");
-  ftAssert(K.ok(), K.message());
-  return *K;
-}
-
-double maxAbsDiff(const float *A, const float *B, int64_t N) {
-  double M = 0;
-  for (int64_t I = 0; I < N; ++I)
-    M = std::max(M, double(std::fabs(A[I] - B[I])));
-  return M;
-}
 
 struct Row {
   std::string Name;
@@ -93,128 +35,101 @@ struct Row {
   bool DiffOk = false;
 };
 
+/// Compiles \p F the way the serving plane's hot tier does (simplify,
+/// autoschedule: segment loops keep their data-dependent bounds, row loops
+/// are parallelized when legal; -O3), cross-checks its output \p Out
+/// against the eager chain's, then times the two interleaved (medians).
+Row compare(std::string Name, int64_t Nnz,
+            const std::function<eager::Tensor()> &Eager, const Func &F,
+            const std::map<std::string, Buffer *> &Args, const Buffer &Out) {
+  Row R{std::move(Name), Nnz};
+  auto K = Kernel::compile(autoScheduleFunc(simplify(F)), CodegenOptions{},
+                           "-O3");
+  ftAssert(K.ok(), K.message());
+  eager::clearTape();
+  eager::Tensor Want = Eager();
+  ftAssert(K->run(Args).ok(), R.Name + " run failed");
+  for (int64_t I = 0; I < Out.numel(); ++I)
+    R.MaxDiff = std::max(
+        R.MaxDiff, double(std::fabs(Out.as<float>()[I] - Want.data()[I])));
+  R.DiffOk = R.MaxDiff <= 1e-3;
+  // Each eager run replaces the result it keeps, so the allocator always
+  // holds the previous output while the chain builds the next one.
+  std::vector<Timing> T = timeInterleaved({each([&] {
+                                             eager::clearTape();
+                                             Want = Eager();
+                                           }),
+                                           kernelRuns(*K, Args)},
+                                          {/*Warmup=*/2, /*Rounds=*/8,
+                                           /*Samples=*/5});
+  R.EagerMs = T[0].Median * 1e3;
+  R.FtMs = T[1].Median * 1e3;
+  R.Speedup = R.EagerMs / R.FtMs;
+  return R;
+}
+
 Row runSpMM() {
   SpMMConfig C;
   SpMMData D = makeSpMMData(C);
-  Row R;
-  R.Name = "spmm";
-  R.Nnz = D.A.Nnz;
-
   // Eager chain: gather X rows at nnz, scale, scatter-add into Y.
-  eager::IndexTensor RowIds = csrRowIds(D.A);
-  eager::IndexTensor Cols = csrCols(D.A);
-  eager::Tensor Val = csrVals(D.A);
-  eager::Tensor X = eager::Tensor::fromVec(
-      {C.Cols, C.Feats},
-      std::vector<float>(D.X.as<float>(), D.X.as<float>() + D.X.numel()));
-  eager::Tensor YE;
-  R.EagerMs = timeThunk([&] {
-                eager::clearTape();
-                YE = spmmEager(Val, RowIds, Cols, X, C.Rows);
-              }) *
-              1e3;
-
-  Kernel K = hotKernel(buildSpMM(C, D.A.Nnz));
+  eager::IndexTensor RowIds = csrRowIds(D.A), Cols = csrCols(D.A);
+  eager::Tensor Val = csrVals(D.A), X = toEager(D.X);
   Buffer Y(DataType::Float32, {C.Rows, C.Feats});
-  std::map<std::string, Buffer *> Args = {{"indptr", &D.A.Indptr},
-                                          {"indices", &D.A.Indices},
-                                          {"val", &D.A.Val},
-                                          {"x", &D.X},
-                                          {"y", &Y}};
-  ftAssert(K.run(Args).ok(), "spmm run failed");
-  R.MaxDiff = maxAbsDiff(Y.as<float>(), YE.data(), Y.numel());
-  R.DiffOk = R.MaxDiff <= 1e-3;
-  R.FtMs = timeKernel(K, Args) * 1e3;
-  R.Speedup = R.EagerMs / R.FtMs;
-  return R;
+  return compare(
+      "spmm", D.A.Nnz,
+      [&] { return spmmEager(Val, RowIds, Cols, X, C.Rows); },
+      buildSpMM(C, D.A.Nnz),
+      {{"indptr", &D.A.Indptr},
+       {"indices", &D.A.Indices},
+       {"val", &D.A.Val},
+       {"x", &D.X},
+       {"y", &Y}},
+      Y);
 }
 
 Row runSDDMM() {
   SDDMMConfig C;
   SDDMMData D = makeSDDMMData(C);
-  Row R;
-  R.Name = "sddmm";
-  R.Nnz = D.A.Nnz;
-
-  eager::IndexTensor RowIds = csrRowIds(D.A);
-  eager::IndexTensor Cols = csrCols(D.A);
-  eager::Tensor Val = csrVals(D.A);
-  auto toTensor = [](const Buffer &B, std::vector<int64_t> Shape) {
-    return eager::Tensor::fromVec(
-        std::move(Shape),
-        std::vector<float>(B.as<float>(), B.as<float>() + B.numel()));
-  };
-  eager::Tensor Da = toTensor(D.Da, {C.Rows, C.Feats});
-  eager::Tensor Db = toTensor(D.Db, {C.Cols, C.Feats});
-  eager::Tensor OutE;
-  R.EagerMs = timeThunk([&] {
-                eager::clearTape();
-                OutE = sddmmEager(Da, Db, Val, RowIds, Cols);
-              }) *
-              1e3;
-
-  Kernel K = hotKernel(buildSDDMM(C, D.A.Nnz));
+  eager::IndexTensor RowIds = csrRowIds(D.A), Cols = csrCols(D.A);
+  eager::Tensor Val = csrVals(D.A), Da = toEager(D.Da), Db = toEager(D.Db);
   Buffer Out(DataType::Float32, {D.A.Nnz});
-  std::map<std::string, Buffer *> Args = {{"indptr", &D.A.Indptr},
-                                          {"indices", &D.A.Indices},
-                                          {"val", &D.A.Val},
-                                          {"a", &D.Da},
-                                          {"b", &D.Db},
-                                          {"out_val", &Out}};
-  ftAssert(K.run(Args).ok(), "sddmm run failed");
-  R.MaxDiff = maxAbsDiff(Out.as<float>(), OutE.data(), Out.numel());
-  R.DiffOk = R.MaxDiff <= 1e-3;
-  R.FtMs = timeKernel(K, Args) * 1e3;
-  R.Speedup = R.EagerMs / R.FtMs;
-  return R;
+  return compare(
+      "sddmm", D.A.Nnz, [&] { return sddmmEager(Da, Db, Val, RowIds, Cols); },
+      buildSDDMM(C, D.A.Nnz),
+      {{"indptr", &D.A.Indptr},
+       {"indices", &D.A.Indices},
+       {"val", &D.A.Val},
+       {"a", &D.Da},
+       {"b", &D.Db},
+       {"out_val", &Out}},
+      Out);
 }
 
 Row runSegSoftmax() {
   SegSoftmaxConfig C;
   SegSoftmaxData D = makeSegSoftmaxData(C);
-  Row R;
-  R.Name = "segsoftmax";
-  R.Nnz = D.G.Nnz;
-
-  eager::IndexTensor RowIds = csrRowIds(D.G);
-  eager::IndexTensor Src = csrCols(D.G);
-  eager::Tensor Logit = csrVals(D.G);
-  eager::Tensor H = eager::Tensor::fromVec(
-      {C.Nodes, C.Feats},
-      std::vector<float>(D.H.as<float>(), D.H.as<float>() + D.H.numel()));
-  eager::Tensor YE;
-  R.EagerMs = timeThunk([&] {
-                eager::clearTape();
-                YE = segSoftmaxEager(Logit, RowIds, Src, H, C.Nodes);
-              }) *
-              1e3;
-
-  Kernel K = hotKernel(buildSegSoftmax(C, D.G.Nnz));
+  eager::IndexTensor RowIds = csrRowIds(D.G), Src = csrCols(D.G);
+  eager::Tensor Logit = csrVals(D.G), H = toEager(D.H);
   Buffer Y(DataType::Float32, {C.Nodes, C.Feats});
-  std::map<std::string, Buffer *> Args = {{"indptr", &D.G.Indptr},
-                                          {"indices", &D.G.Indices},
-                                          {"e", &D.G.Val},
-                                          {"h", &D.H},
-                                          {"y", &Y}};
-  ftAssert(K.run(Args).ok(), "segsoftmax run failed");
   // The eager chain skips max-stabilization, so allow looser agreement.
-  R.MaxDiff = maxAbsDiff(Y.as<float>(), YE.data(), Y.numel());
-  R.DiffOk = R.MaxDiff <= 1e-3;
-  R.FtMs = timeKernel(K, Args) * 1e3;
-  R.Speedup = R.EagerMs / R.FtMs;
-  return R;
+  return compare(
+      "segsoftmax", D.G.Nnz,
+      [&] { return segSoftmaxEager(Logit, RowIds, Src, H, C.Nodes); },
+      buildSegSoftmax(C, D.G.Nnz),
+      {{"indptr", &D.G.Indptr},
+       {"indices", &D.G.Indices},
+       {"e", &D.G.Val},
+       {"h", &D.H},
+       {"y", &Y}},
+      Y);
 }
 
 } // namespace
 
 int main() {
-  char Tmpl[] = "/tmp/ftsparsebench.XXXXXX";
-  ftAssert(::mkdtemp(Tmpl) != nullptr, "mkdtemp failed");
-  ::setenv("FT_CACHE_DIR", Tmpl, 1);
-  ::setenv("FT_CACHE", "1", 1);
+  CacheScope Cache;
   serve::telemetry::setEnabled(false);
   serve::telemetry::reset();
-  kernel_cache::memReset();
 
   std::vector<Row> Rows = {runSpMM(), runSDDMM(), runSegSoftmax()};
 
@@ -237,24 +152,21 @@ int main() {
               "three)\n",
               SecondBest);
 
-  std::FILE *F = std::fopen("BENCH_sparse.json", "w");
-  ftAssert(F != nullptr, "could not open BENCH_sparse.json");
-  std::fprintf(F, "{\n  \"benchmark\": \"sparse\",\n");
-  std::fprintf(F, "  \"workloads\": [\n");
-  for (size_t I = 0; I < Rows.size(); ++I)
-    std::fprintf(F,
-                 "    {\"name\": \"%s\", \"nnz\": %lld, \"eager_ms\": %.4f, "
-                 "\"ft_ms\": %.4f, \"speedup\": %.4f, \"max_diff\": "
-                 "%.3e}%s\n",
-                 Rows[I].Name.c_str(), (long long)Rows[I].Nnz, Rows[I].EagerMs,
-                 Rows[I].FtMs, Rows[I].Speedup, Rows[I].MaxDiff,
-                 I + 1 < Rows.size() ? "," : "");
-  std::fprintf(F, "  ],\n");
-  std::fprintf(F, "  \"second_best_speedup\": %.4f,\n", SecondBest);
-  std::fprintf(F, "  \"pass\": %s\n}\n", Ok ? "true" : "false");
-  std::fclose(F);
-
-  std::system(("rm -rf '" + std::string(Tmpl) + "'").c_str());
+  writeReport("sparse", [&](json::Writer &W) {
+    W.key("benchmark").value("sparse").key("workloads").beginArray();
+    for (const Row &R : Rows)
+      W.beginObject()
+          .key("name").value(R.Name)
+          .key("nnz").value(R.Nnz)
+          .key("eager_ms").value(R.EagerMs)
+          .key("ft_ms").value(R.FtMs)
+          .key("speedup").value(R.Speedup)
+          .key("max_diff").value(R.MaxDiff)
+          .endObject();
+    W.endArray();
+    W.key("second_best_speedup").value(SecondBest);
+    W.key("pass").value(Ok);
+  });
   std::printf("%s\n", Ok ? "PASS" : "FAIL");
   return Ok ? 0 : 1;
 }

@@ -271,7 +271,14 @@ private:
     }
     case NodeKind::Binary: {
       auto B = cast<BinaryNode>(E);
-      return evalBinary(B->Op, evalExpr(B->LHS), evalExpr(B->RHS));
+      Val L = evalExpr(B->LHS);
+      // && and || short-circuit, as in the emitted C++: the RHS may load
+      // an element that is in bounds only when the LHS does not decide.
+      if (B->Op == BinOpKind::LAnd && !L.asB())
+        return Val::ofB(false);
+      if (B->Op == BinOpKind::LOr && L.asB())
+        return Val::ofB(true);
+      return evalBinary(B->Op, L, evalExpr(B->RHS));
     }
     case NodeKind::Unary: {
       auto U = cast<UnaryNode>(E);

@@ -198,6 +198,36 @@ TEST(CodegenTest, FloatLiteralsFollowTheirFloat32Partner) {
   }
 }
 
+TEST(CodegenTest, LogicalOperatorsShortCircuitInBothPaths) {
+  // y[i] = (i > 0 && x[i-1] > 0) ? 1 : 2 and its twin with
+  // (i == 0 || x[i-1] > 0): at i = 0 the left operand decides, and the
+  // out-of-bounds x[-1] must not be read by the interpreter either.
+  for (bool Or : {false, true}) {
+    FunctionBuilder B(Or ? "lor" : "land");
+    View X = B.input("x", {makeIntConst(4)});
+    View Y = B.output("y", {makeIntConst(4)});
+    B.loop("i", 0, 4, [&](Expr I) {
+      Expr Prev = X[I - 1].load() > makeFloatConst(0.0);
+      Expr Cond = Or ? (makeEQ(I, makeIntConst(0)) || Prev) : (I > 0 && Prev);
+      Y[I].assign(select(Cond, makeFloatConst(1.0), makeFloatConst(2.0)));
+    });
+    Func F = B.build();
+    Buffer XB = Buffer::fromF32({4}, {1, -1, 1, -1});
+    Buffer YI(DataType::Float32, {4}), YJ(DataType::Float32, {4});
+    ASSERT_TRUE(interpretChecked(F, {{"x", &XB}, {"y", &YI}}).ok());
+    auto K = Kernel::compile(F, "-O2");
+    ASSERT_TRUE(K.ok()) << K.message();
+    ASSERT_TRUE(K->run({{"x", &XB}, {"y", &YJ}}).ok());
+    const std::vector<double> Want =
+        Or ? std::vector<double>{1, 1, 2, 1} : std::vector<double>{2, 1, 2, 1};
+    const char *Op = Or ? "||" : "&&";
+    for (int64_t I = 0; I < 4; ++I) {
+      EXPECT_EQ(YJ.getF(I), Want[I]) << Op << " y[" << I << "]";
+      EXPECT_EQ(YI.getF(I), YJ.getF(I)) << Op << " y[" << I << "]";
+    }
+  }
+}
+
 TEST(CodegenTest, MissingArgumentRejected) {
   FunctionBuilder B("m");
   View Y = B.output("y", {makeIntConst(4)});

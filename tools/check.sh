@@ -44,16 +44,19 @@
 #    materialized and SubdivNet's d recomputed, and SoftRas's backward
 #    must bind at least one shared adjoint value and stay under 1000 IR
 #    nodes — plain and under ASan.
-# 11. Bench guard: freshly written BENCH_*.json results (including the
+# 11. Paper benches: fig16, fig17, fig18, table2 and deps run once each,
+#    and every BENCH_*.json this check run wrote must parse and carry the
+#    `host` block of bench/harness.h.
+# 12. Bench guard: freshly written BENCH_*.json results (including the
 #    dynamic-shape bench's compile-amortization and specialization
 #    speedups, and the sparse bench's eager-vs-compiled speedups) are
 #    compared against the committed baselines on key ratios; >25%
 #    regressions fail the check (tools/bench_guard.py).
-# 12. The same test suite rebuilt under ASan/UBSan (FT_SANITIZE=ON) in a
+# 13. The same test suite rebuilt under ASan/UBSan (FT_SANITIZE=ON) in a
 #    separate build tree, so memory and UB bugs in the analysis/schedule
 #    layers cannot hide behind passing functional tests. The trace test
 #    runs there too: the observability layer itself must be clean.
-# 13. The concurrent suites (kernel runtime pool, re-entrant kernels,
+# 14. The concurrent suites (kernel runtime pool, re-entrant kernels,
 #    serving executor, telemetry) rebuilt under ThreadSanitizer in
 #    build-tsan/ and run on a 4-thread kernel pool; any report fails.
 #
@@ -347,6 +350,9 @@ grad_smoke() {
 echo "== grad smoke: tape-or-recompute decisions =="
 grad_smoke ./build/tools/ftc
 
+# Every bench run from here on writes its BENCH_*.json after this marker.
+BenchMarker="$(mktemp /tmp/ft_check_bench.XXXXXX)"
+
 echo "== sparse bench: eager-vs-compiled speedups + JSON schema =="
 sparse_bench_smoke "$(pwd)/build/bench/sparse_bench" build/bench-build
 
@@ -503,6 +509,30 @@ echo "== telemetry overhead bench: disabled <= 5 ns, enabled <= 2% =="
 
 echo "== dynshape bench: compile amortization + specialization payoff =="
 (cd build/bench-build && ../bench/dynshape_bench) | tail -2
+
+echo "== paper benches: fig16, fig17, fig18, table2, deps + host blocks =="
+for Bench in fig16 fig17_metrics fig18_ad_ablation table2_compile_time \
+  deps_bench; do
+  (cd build/bench-build && "../bench/$Bench") >/dev/null
+done
+python3 - build/bench-build "$BenchMarker" <<'PYEOF'
+import json, os, sys
+d, since = sys.argv[1], os.path.getmtime(sys.argv[2])
+fresh = sorted(n for n in os.listdir(d)
+               if n.startswith("BENCH_") and n.endswith(".json")
+               and os.path.getmtime(os.path.join(d, n)) >= since)
+for name in ("fig16", "fig17", "fig18", "table2", "deps"):
+    assert f"BENCH_{name}.json" in fresh, f"BENCH_{name}.json not written"
+for n in fresh:
+    with open(os.path.join(d, n)) as f:
+        host = json.load(f).get("host")
+    assert isinstance(host, dict) and host.get("nproc", 0) >= 1 \
+        and host.get("pool_threads", 0) >= 1 and host.get("compiler_id"), \
+        f"{n}: no host block ({host!r})"
+print(f"paper benches OK: {len(fresh)} BENCH files parse and carry host "
+      f"({', '.join(fresh)})")
+PYEOF
+rm -f "$BenchMarker"
 
 echo "== bench guard: fresh results vs committed baselines =="
 python3 tools/bench_guard.py --baseline-dir . --fresh-dir build/bench-build

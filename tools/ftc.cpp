@@ -353,60 +353,34 @@ double dynStoreError(const std::string &Name,
              Y.data());
     return MaxDiff(Store.at("y"), Y);
   }
+  // The CSR arrays in the form the naive references take (copies).
+  auto Csr = [&Store](const char *Val) {
+    return SparseCSR{Store.at("m").getI(0), 0, 0, Store.at("indptr"),
+                     Store.at("indices"), Store.at(Val)};
+  };
   if (Name == "spmm") {
-    const int64_t Rows = Store.at("m").getI(0);
-    const int64_t Feats = SpMMConfig{}.Feats;
-    const int64_t *P = Store.at("indptr").as<int64_t>();
-    const int64_t *Ci = Store.at("indices").as<int64_t>();
-    const float *V = Store.at("val").as<float>();
-    const float *X = Store.at("x").as<float>();
-    std::vector<float> Y(Rows * Feats, 0.f);
-    for (int64_t I = 0; I < Rows; ++I)
-      for (int64_t J = P[I]; J < P[I + 1]; ++J)
-        for (int64_t F = 0; F < Feats; ++F)
-          Y[I * Feats + F] += V[J] * X[Ci[J] * Feats + F];
+    SparseCSR A = Csr("val");
+    SpMMConfig C;
+    C.Rows = A.Rows;
+    std::vector<float> Y(C.Rows * C.Feats);
+    spmmNaive(C, A, Store.at("x").as<float>(), Y.data());
     return MaxDiff(Store.at("y"), Y);
   }
   if (Name == "sddmm") {
-    const int64_t Rows = Store.at("m").getI(0);
-    const int64_t Nnz = Store.at("nnz").getI(0);
-    const int64_t Feats = SDDMMConfig{}.Feats;
-    const int64_t *P = Store.at("indptr").as<int64_t>();
-    const int64_t *Ci = Store.at("indices").as<int64_t>();
-    const float *V = Store.at("val").as<float>();
-    const float *Da = Store.at("a").as<float>();
-    const float *Db = Store.at("b").as<float>();
-    std::vector<float> Out(Nnz, 0.f);
-    for (int64_t I = 0; I < Rows; ++I)
-      for (int64_t J = P[I]; J < P[I + 1]; ++J) {
-        float Dot = 0;
-        for (int64_t F = 0; F < Feats; ++F)
-          Dot += Da[I * Feats + F] * Db[Ci[J] * Feats + F];
-        Out[J] = V[J] * Dot;
-      }
+    SparseCSR A = Csr("val");
+    SDDMMConfig C;
+    C.Rows = A.Rows;
+    std::vector<float> Out(Store.at("nnz").getI(0));
+    sddmmNaive(C, A, Store.at("a").as<float>(), Store.at("b").as<float>(),
+               Out.data());
     return MaxDiff(Store.at("out_val"), Out);
   }
   if (Name == "segsoftmax") {
-    const int64_t Nodes = Store.at("m").getI(0);
-    const int64_t Feats = SegSoftmaxConfig{}.Feats;
-    const int64_t *P = Store.at("indptr").as<int64_t>();
-    const int64_t *Ci = Store.at("indices").as<int64_t>();
-    const float *E = Store.at("e").as<float>();
-    const float *H = Store.at("h").as<float>();
-    std::vector<float> Y(Nodes * Feats, 0.f);
-    for (int64_t I = 0; I < Nodes; ++I) {
-      float Mx = -1e30f;
-      for (int64_t J = P[I]; J < P[I + 1]; ++J)
-        Mx = std::max(Mx, E[J]);
-      float Sum = 0;
-      for (int64_t J = P[I]; J < P[I + 1]; ++J)
-        Sum += std::exp(E[J] - Mx);
-      for (int64_t J = P[I]; J < P[I + 1]; ++J) {
-        const float W = std::exp(E[J] - Mx) / Sum;
-        for (int64_t F = 0; F < Feats; ++F)
-          Y[I * Feats + F] += W * H[Ci[J] * Feats + F];
-      }
-    }
+    SparseCSR A = Csr("e");
+    SegSoftmaxConfig C;
+    C.Nodes = A.Rows;
+    std::vector<float> Y(C.Nodes * C.Feats);
+    segSoftmaxNaive(C, A, Store.at("h").as<float>(), Y.data());
     return MaxDiff(Store.at("y"), Y);
   }
   return 0;
