@@ -107,7 +107,6 @@ int main() {
   uint64_t GenericCompiles = 0, SpecCompiles = 0, RunErrors = 0;
   {
     Config C;
-    C.BatchWindowUs = 0;
     Executor Ex(C);
     for (int K = 0; K < kShapes; ++K) {
       int64_t N = 16 + 7 * K; // all distinct

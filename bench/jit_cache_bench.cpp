@@ -135,7 +135,7 @@ SearchResult runSearch() {
   ftAssert(B0.ok(), B0.message());
   ::setenv("FT_CACHE", "1", 1);
 
-  // Cold: same walk, now publishing into the (empty) cache dir.
+  // Cold: the same seed, now publishing into the (empty) cache dir.
   kernel_cache::memReset();
   AutoScheduleReport Rep;
   T0 = seconds();
@@ -145,7 +145,9 @@ SearchResult runSearch() {
   R.Deduped = Rep.CandidatesDeduped;
   R.Measured = Rep.CandidatesMeasured;
 
-  // Warm: identical seed => identical candidates => every compile hits.
+  // Warm: the same seed. Candidates repeat, and every compile hits, only
+  // as far as the timings rank them as the cold run did: the incumbent
+  // each round mutates is the fastest candidate measured so far.
   kernel_cache::memReset();
   T0 = seconds();
   auto B2 = autoTuneFunc(F, Args, Opts);

@@ -12,7 +12,9 @@
 //      bound, and every accepted request still completes.
 //
 // Latencies are recorded per tier and reported as p50/p95/p99 in
-// BENCH_serve.json.
+// BENCH_serve.json. The warm closed loop's JIT p50 is also reported over a
+// direct Kernel::run of the same kernels (`warm.jit_over_direct`): the
+// per-request cost of serving, against the kernel alone.
 //
 // The bench also runs with the telemetry hooks enabled and acts as the
 // differential test for the histogram estimator: the p50/p95/p99 read from
@@ -176,6 +178,8 @@ int main() {
 
   double ColdFirstSec = 0;
   uint64_t WarmJit = 0, WarmTotal = 0;
+  std::vector<double> WarmJitLat;
+  double DirectRunSec = 0;
   {
     Config C;
     C.Threads = 2;
@@ -220,15 +224,40 @@ int main() {
       Response Resp2 = R2->get();
       ftAssert(Resp2.S.ok(), Resp2.S.message());
       noteRaw(Resp2);
-      if (Resp2.ServedBy == Tier::Jit)
+      if (Resp2.ServedBy == Tier::Jit) {
         JitLat.push_back(Resp2.LatencySec);
-      else
+        WarmJitLat.push_back(Resp2.LatencySec);
+      } else {
         InterpLat.push_back(Resp2.LatencySec);
+      }
     }
     ServeStats After = Ex.stats();
     WarmJit = After.JitServed - Before.JitServed;
     WarmTotal = kWarmReqs;
     Ok = Ok && WarmJit * 100 >= WarmTotal * 95;
+
+    // The same kernels run directly, in the loop's model order: the
+    // executor compiled them, so these acquisitions hit the memory tier.
+    std::vector<Kernel> Ks;
+    for (const Func &F : Models) {
+      auto K = Kernel::compile(F, CodegenOptions{}, C.OptFlags);
+      ftAssert(K.ok(), K.message());
+      Ks.push_back(*K);
+    }
+    Slot S;
+    std::vector<std::map<std::string, Buffer *>> Args;
+    for (const Func &F : Models)
+      Args.push_back(S.args(F));
+    Contender Direct{[&](int64_t N) {
+      for (int64_t I = 0; I < N; ++I) {
+        Status St = Ks[I % kModels].run(Args[I % kModels]);
+        ftAssert(St.ok(), St.message());
+      }
+    }};
+    DirectRunSec = timeInterleaved({Direct}, {/*Warmup=*/kModels, /*Rounds=*/10,
+                                              /*Samples=*/1, /*Ops=*/kWarmReqs})
+                       .front()
+                       .Median;
     Ex.shutdown();
   }
 
@@ -282,6 +311,8 @@ int main() {
 
   Percentiles PI = percentiles(InterpLat);
   Percentiles PJ = percentiles(JitLat);
+  const double WarmJitP50Us = percentiles(WarmJitLat).P50Us;
+  const double DirectRunUs = DirectRunSec * 1e6;
 
   //===------------------------------------------------------------------===//
   // Histogram vs raw: the telemetry estimates must agree with the
@@ -304,9 +335,11 @@ int main() {
               CompileRefSec, ColdFirstSec,
               ColdFirstSec < CompileRefSec ? "hidden" : "NOT HIDDEN",
               CompileRefSec / ColdFirstSec);
-  std::printf("warm closed loop: %llu/%llu jit-tier (%.1f%%)\n",
+  std::printf("warm closed loop: %llu/%llu jit-tier (%.1f%%), jit p50 "
+              "%.1fus = %.1fx a direct run (%.2fus)\n",
               (unsigned long long)WarmJit, (unsigned long long)WarmTotal,
-              100.0 * double(WarmJit) / double(WarmTotal));
+              100.0 * double(WarmJit) / double(WarmTotal), WarmJitP50Us,
+              WarmJitP50Us / DirectRunUs, DirectRunUs);
   std::printf("overload 10x: offered %llu accepted %llu rejected %llu\n",
               (unsigned long long)Offered, (unsigned long long)Accepted,
               (unsigned long long)RejectedCnt);
@@ -331,6 +364,9 @@ int main() {
         .key("jit_served").value(WarmJit)
         .key("jit_fraction").value(double(WarmJit) / double(WarmTotal))
         .key("target_fraction").value(0.95)
+        .key("jit_p50_us").value(WarmJitP50Us)
+        .key("direct_run_us").value(DirectRunUs)
+        .key("jit_over_direct").value(WarmJitP50Us / DirectRunUs)
         .endObject();
     W.key("overload").beginObject()
         .key("queue_cap").value(OverloadQueueCap)

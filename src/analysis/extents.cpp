@@ -213,38 +213,68 @@ Status ft::bindExtentArgs(const ExtentSpec &Spec,
   return Status::success();
 }
 
-Status ft::checkExtentArgs(const Func &F, const ExtentSpec &Spec,
-                           const std::map<std::string, Buffer *> &Args) {
-  if (Spec.empty())
-    return Status::success();
+ArgContract ft::argContractOf(const Func &F) {
+  ArgContract C;
+  for (const std::string &P : F.Params)
+    C.Params.push_back({P, findVarDef(F.Body, P)});
+  C.Extents = extentParamsOf(F);
+  C.Ragged = analyzeRagged(F);
+  return C;
+}
+
+Status ArgContract::check(const std::map<std::string, Buffer *> &Args,
+                          std::vector<void *> *Data) const {
+  // Shape-generic functions: extent arguments must be bound and positive
+  // (a non-positive extent would zero or invert every loop bound computed
+  // from it) before the dimensions they determine can be checked.
   std::map<std::string, int64_t> Bindings;
-  if (Status S = bindExtentArgs(Spec, Args, Bindings); !S.ok())
-    return S;
-  for (const auto &[Name, Val] : Bindings)
-    if (Val < 1)
-      return Status::error("extent argument `" + Name +
-                           "` must be >= 1, got " + std::to_string(Val));
-  for (const std::string &P : F.Params) {
-    auto It = Args.find(P);
+  if (!Extents.empty()) {
+    if (Status S = bindExtentArgs(Extents, Args, Bindings); !S.ok())
+      return S;
+    for (const auto &[Name, Val] : Bindings)
+      if (Val < 1)
+        return Status::error("extent argument `" + Name +
+                             "` must be >= 1, got " + std::to_string(Val));
+  }
+  if (Data) {
+    Data->clear();
+    Data->reserve(Params.size());
+  }
+  for (const Param &P : Params) {
+    auto It = Args.find(P.Name);
     if (It == Args.end() || It->second == nullptr)
-      continue; // the caller's presence check owns this error
-    auto D = findVarDef(F.Body, P);
-    if (!D)
-      continue;
+      return Status::error("missing argument `" + P.Name + "`");
+    if (!P.Def)
+      return Status::error("parameter `" + P.Name + "` has no VarDef");
     const Buffer &B = *It->second;
-    if (B.shape().size() != D->Info.Shape.size())
-      continue; // the caller's rank check owns this error
-    for (size_t Dim = 0; Dim < D->Info.Shape.size(); ++Dim) {
-      if (isa<IntConstNode>(D->Info.Shape[Dim]))
-        continue; // constant extents are the caller's check
-      auto Want = evalExtentExpr(D->Info.Shape[Dim], Bindings);
+    const TensorInfo &Info = P.Def->Info;
+    if (B.dtype() != Info.Dtype)
+      return Status::error("dtype mismatch for argument `" + P.Name + "`");
+    if (B.shape().size() != Info.Shape.size())
+      return Status::error("rank mismatch for argument `" + P.Name +
+                           "`: got " + std::to_string(B.shape().size()) +
+                           ", want " + std::to_string(Info.Shape.size()));
+    // Every dimension that folds to a constant under the bindings must
+    // match: the generated code indexes with the declared extents, not
+    // with the buffer's.
+    for (size_t Dim = 0; Dim < Info.Shape.size(); ++Dim) {
+      auto Want = evalExtentExpr(Info.Shape[Dim], Bindings);
       if (Want && B.shape()[Dim] != *Want)
         return Status::error(
-            "shape mismatch for argument `" + P + "` in dimension " +
+            "shape mismatch for argument `" + P.Name + "` in dimension " +
             std::to_string(Dim) + ": got " + std::to_string(B.shape()[Dim]) +
             ", want " + std::to_string(*Want) +
-            " (from the bound extent arguments)");
+            (isa<IntConstNode>(Info.Shape[Dim])
+                 ? ""
+                 : " (from the bound extent arguments)"));
     }
+    if (Data)
+      Data->push_back(It->second->raw());
   }
+  // Ragged functions: index tensors must be non-negative, monotonically
+  // non-decreasing, and within the extents they gate — the contract
+  // dependence analysis assumed when it proved schedules.
+  if (!Ragged.empty())
+    return checkIndptrArgs(Ragged, Args);
   return Status::success();
 }

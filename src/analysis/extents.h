@@ -12,10 +12,13 @@
 /// stays the same across shapes.
 ///
 /// This header centralizes the request-side contract both execution tiers
-/// enforce (validateArgs for the interpreter, Kernel::run for the JIT):
-/// every extent parameter must be bound to a value >= 1, and every tensor
-/// dimension whose symbolic shape folds to a constant under those bindings
-/// must match the bound buffer exactly.
+/// enforce (validateArgs for the interpreter, Kernel::run for the JIT, the
+/// serving executor per request): ArgContract. Every parameter is bound
+/// with its declared dtype and rank, constant extents match exactly, every
+/// extent parameter is bound to a value >= 1, every tensor dimension whose
+/// symbolic shape folds to a constant under those bindings matches the
+/// bound buffer, and index tensors keep the ragged contract
+/// (analysis/ragged.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -27,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/ragged.h"
 #include "interp/buffer.h"
 #include "ir/func.h"
 #include "support/error.h"
@@ -62,18 +66,33 @@ evalExtentExpr(const Expr &E, const std::map<std::string, int64_t> &Bindings);
 
 /// Reads the extent values of \p Spec out of \p Args into \p Out. Error
 /// when an extent parameter is unbound, non-scalar, or non-integer.
-/// Positivity is checked by checkExtentArgs, not here.
+/// Positivity is checked by ArgContract::check, not here.
 Status bindExtentArgs(const ExtentSpec &Spec,
                       const std::map<std::string, Buffer *> &Args,
                       std::map<std::string, int64_t> &Out);
 
-/// The per-request extent contract: every extent parameter of \p Spec is
-/// bound in \p Args with a value >= 1, and every parameter-tensor dimension
-/// of \p F whose symbolic extent folds under those bindings matches the
-/// bound buffer's dimension. Constant extents are the caller's business
-/// (validateArgs / Kernel::run already check them).
-Status checkExtentArgs(const Func &F, const ExtentSpec &Spec,
-                       const std::map<std::string, Buffer *> &Args);
+/// The request-side contract of a function (see the file comment), built
+/// once per function so that checking a request walks no IR.
+struct ArgContract {
+  struct Param {
+    std::string Name;
+    Ref<VarDefNode> Def; ///< Null when the body declares no such VarDef.
+  };
+  std::vector<Param> Params; ///< In ABI order (Func::Params).
+  ExtentSpec Extents;
+  RaggedInfo Ragged;
+
+  /// Checks \p Args against the contract and returns the first violation
+  /// as a typed error: extent arguments first, then each parameter in ABI
+  /// order, then index tensors. On success, \p Data (when non-null) holds
+  /// each bound buffer's data pointer in ABI order.
+  Status check(const std::map<std::string, Buffer *> &Args,
+               std::vector<void *> *Data = nullptr) const;
+};
+
+/// Builds the contract of \p F: the VarDef of every parameter, the extent
+/// parameters and the ragged structure (a few body walks).
+ArgContract argContractOf(const Func &F);
 
 } // namespace ft
 

@@ -210,8 +210,3 @@ Status ft::checkIndptrArgs(const RaggedInfo &RI,
   }
   return Status::success();
 }
-
-Status ft::checkIndptrArgs(const Func &F,
-                           const std::map<std::string, Buffer *> &Args) {
-  return checkIndptrArgs(analyzeRagged(F), Args);
-}

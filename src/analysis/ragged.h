@@ -17,9 +17,10 @@
 ///       iterator addresses directly (`val[j]`, `indices[j]`).
 ///
 /// Both execution tiers enforce the contract per request (`checkIndptrArgs`
-/// from validateArgs and Kernel::run), which is what entitles dependence
-/// analysis to assume `indptr[i] <= indptr[i+1]` when proving row segments
-/// independent (analysis/deps.cpp).
+/// from ArgContract::check, which validateArgs and Kernel::run share),
+/// which is what entitles dependence analysis to assume
+/// `indptr[i] <= indptr[i+1]` when proving row segments independent
+/// (analysis/deps.cpp).
 ///
 /// analyzeRagged() also discovers which tensor dimensions and which extent
 /// parameters are *ragged-sized* (nnz-like): dimensions addressed directly
@@ -100,15 +101,12 @@ struct RaggedInfo {
 /// Discovers the segment loops, index tensors, and ragged sizes of \p F.
 RaggedInfo analyzeRagged(const Func &F);
 
-/// The per-request index-tensor contract, next to checkExtentArgs: every
-/// index tensor of \p RI is bound in \p Args to a 1-D integer buffer whose
-/// values are >= 0, monotonically non-decreasing, and within the leading
-/// extents of the tensors it gates. Returns a typed error, never aborts.
+/// The per-request index-tensor contract, part of ArgContract::check
+/// (analysis/extents.h): every index tensor of \p RI is bound in \p Args
+/// to a 1-D integer buffer whose values are >= 0, monotonically
+/// non-decreasing, and within the leading extents of the tensors it gates.
+/// Returns a typed error, never aborts.
 Status checkIndptrArgs(const RaggedInfo &RI,
-                       const std::map<std::string, Buffer *> &Args);
-
-/// Convenience form analyzing \p F on the fly (one body walk).
-Status checkIndptrArgs(const Func &F,
                        const std::map<std::string, Buffer *> &Args);
 
 } // namespace ft

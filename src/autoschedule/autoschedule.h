@@ -103,7 +103,11 @@ Func autoScheduleFunc(Func F, const AutoScheduleOptions &Opts = {},
 struct SearchOptions {
   int Rounds = 24;     ///< Mutation rounds after the seed candidate.
   int MeasureRuns = 3; ///< Timed runs per candidate; best-of is kept.
-  uint64_t Seed = 0x5eed; ///< Mutation stream seed — same seed, same walk.
+  /// Mutation stream seed. The same seed draws the same random stream,
+  /// but each round mutates the incumbent, which is whichever candidate
+  /// measured fastest so far, so two runs walk the same candidates only
+  /// while their timings rank the candidates alike.
+  uint64_t Seed = 0x5eed;
   bool RulesFirst = true; ///< Seed the search with the rule passes' output.
   AutoScheduleOptions Rules; ///< Options for that rule pre-pass.
   std::string OptFlags = "-O2"; ///< Host-compiler flags for candidates.

@@ -9,12 +9,10 @@
 #include <dlfcn.h>
 #include <fstream>
 #include <mutex>
-#include <set>
 #include <sys/stat.h>
 #include <vector>
 
 #include "analysis/extents.h"
-#include "analysis/ragged.h"
 #include "codegen/codegen.h"
 #include "codegen/kernel_cache.h"
 #include "codegen/profile.h"
@@ -97,20 +95,11 @@ bool hasExplicitSimdLoop(const Stmt &S) {
 struct Kernel::Impl {
   std::string Source;
   std::string Symbol;
-  std::vector<std::string> Params;
-  std::map<std::string, DataType> ParamTypes;
-  /// Declared shape of each parameter — Exprs, not ints, because a
-  /// shape-generic kernel's extents are loads of extent parameters.
-  std::map<std::string, std::vector<Expr>> ParamShapes;
-  /// Extent parameters of the compiled Func: run() binds and range-checks
-  /// them per call, mirroring validateArgs, so the generated code never
-  /// sees a non-positive extent or an inconsistent tensor/extent pair.
-  ExtentSpec Extents;
-  /// Ragged structure of the compiled Func (segment loops, index tensors):
-  /// run() re-checks the index-tensor contract per call — schedules were
-  /// proven legal under the monotonicity facts, so a kernel must never see
-  /// a decreasing or out-of-range indptr (analysis/ragged.h).
-  RaggedInfo Ragged;
+  /// The compiled Func's argument contract, checked on every run() exactly
+  /// as validateArgs checks it: the generated code indexes with the
+  /// declared shapes, so it must never see a mis-sized buffer, a
+  /// non-positive extent or a decreasing indptr (analysis/extents.h).
+  ArgContract Contract;
   void *Handle = nullptr;
   void (*Entry)(void **, ft_rt_ctx *) = nullptr;
   /// Counters of every call of this kernel, written by the host runtime
@@ -130,9 +119,6 @@ struct Kernel::Impl {
   /// loop proven for explicit SIMD): run() must reject aliasing arguments,
   /// or the compiled code's no-overlap assumption would be a silent lie.
   bool RequiresDistinctParams = false;
-  /// Parameters the kernel writes (Output/InOut). Two arguments may only
-  /// share a pointer when neither is written.
-  std::set<std::string> WrittenParams;
 
   KernelRtStats stats() const {
     auto Load = [](const uint64_t &V) {
@@ -224,20 +210,12 @@ Kernel::Impl::makeSkeleton(const Func &F, const CodegenOptions &Opts) {
     I->SlotIds = profileSlotIds(F);
     I->ProfTotals.resize(I->SlotIds.size());
   }
-  I->Params = F.Params;
   I->RequiresDistinctParams = hasExplicitSimdLoop(F.Body);
-  I->Extents = extentParamsOf(F);
-  I->Ragged = analyzeRagged(F);
-  for (const std::string &P : F.Params) {
-    auto D = findVarDef(F.Body, P);
-    if (!D)
-      return Result<std::shared_ptr<Impl>>::error("parameter `" + P +
+  I->Contract = argContractOf(F);
+  for (const ArgContract::Param &P : I->Contract.Params)
+    if (!P.Def)
+      return Result<std::shared_ptr<Impl>>::error("parameter `" + P.Name +
                                                   "` has no VarDef");
-    I->ParamTypes[P] = D->Info.Dtype;
-    I->ParamShapes[P] = D->Info.Shape;
-    if (D->ATy == AccessType::Output || D->ATy == AccessType::InOut)
-      I->WrittenParams.insert(P);
-  }
   I->SpanName = "rt/kernel/" + I->Symbol;
   return I;
 }
@@ -461,57 +439,20 @@ Status Kernel::run(const std::map<std::string, Buffer *> &Args,
                    uint64_t RequestId) const {
   ftAssert(I != nullptr, "running an empty Kernel");
   std::vector<void *> Ptrs;
-  Ptrs.reserve(I->Params.size());
-  for (const std::string &P : I->Params) {
-    auto It = Args.find(P);
-    if (It == Args.end() || It->second == nullptr)
-      return Status::error("missing argument `" + P + "`");
-    if (It->second->dtype() != I->ParamTypes.at(P))
-      return Status::error("dtype mismatch for argument `" + P + "`");
-    if (It->second->shape().size() != I->ParamShapes.at(P).size())
-      return Status::error(
-          "rank mismatch for argument `" + P + "`: got " +
-          std::to_string(It->second->shape().size()) + ", want " +
-          std::to_string(I->ParamShapes.at(P).size()));
-    Ptrs.push_back(It->second->raw());
-  }
-  if (!I->Extents.empty()) {
-    // Shape-generic kernel: bind the extent arguments, require them >= 1
-    // (a non-positive extent would zero or invert every loop bound computed
-    // from it), and require each tensor dimension whose symbolic extent
-    // folds under the bindings to match the bound buffer — the compiled
-    // strides are computed from the extents, not from the buffers.
-    std::map<std::string, int64_t> Ext;
-    if (Status S = bindExtentArgs(I->Extents, Args, Ext); !S.ok())
-      return S;
-    for (const auto &[Name, Val] : Ext)
-      if (Val < 1)
-        return Status::error("extent argument `" + Name +
-                             "` must be >= 1, got " + std::to_string(Val));
-    for (const std::string &P : I->Params) {
-      const std::vector<Expr> &Shape = I->ParamShapes.at(P);
-      const Buffer &B = *Args.at(P);
-      for (size_t Dim = 0; Dim < Shape.size(); ++Dim) {
-        auto Want = evalExtentExpr(Shape[Dim], Ext);
-        if (Want && B.shape()[Dim] != *Want)
-          return Status::error(
-              "shape mismatch for argument `" + P + "` in dimension " +
-              std::to_string(Dim) + ": got " + std::to_string(B.shape()[Dim]) +
-              ", want " + std::to_string(*Want) +
-              " (from the bound extent arguments)");
-      }
-    }
-  }
-  if (!I->Ragged.empty())
-    if (Status S = checkIndptrArgs(I->Ragged, Args); !S.ok())
-      return S;
+  if (Status S = I->Contract.check(Args, &Ptrs); !S.ok())
+    return S;
   if (I->RequiresDistinctParams) {
+    // Two arguments may only share a pointer when neither is written.
+    const std::vector<ArgContract::Param> &Ps = I->Contract.Params;
+    auto Writes = [&](size_t P) {
+      return Ps[P].Def->ATy == AccessType::Output ||
+             Ps[P].Def->ATy == AccessType::InOut;
+    };
     for (size_t A = 0; A < Ptrs.size(); ++A)
       for (size_t B = A + 1; B < Ptrs.size(); ++B)
-        if (Ptrs[A] == Ptrs[B] && (I->WrittenParams.count(I->Params[A]) ||
-                                   I->WrittenParams.count(I->Params[B])))
+        if (Ptrs[A] == Ptrs[B] && (Writes(A) || Writes(B)))
           return Status::error(
-              "arguments `" + I->Params[A] + "` and `" + I->Params[B] +
+              "arguments `" + Ps[A].Name + "` and `" + Ps[B].Name +
               "` alias, but the kernel was compiled with proven no-aliasing "
               "(__restrict__ parameters for SIMD lowering)");
   }

@@ -80,8 +80,12 @@ public:
                                          const CodegenOptions &Opts = {},
                                          const std::string &OptFlags = "-O3");
 
-  /// Runs the kernel binding each parameter by name. Kernels are
-  /// re-entrant: any number of threads may run one handle at once.
+  /// Runs the kernel binding each parameter by name. The binding is first
+  /// checked against the compiled function's ArgContract
+  /// (analysis/extents.h), so a missing, mistyped or mis-sized buffer is
+  /// the same typed error validateArgs gives, never an out-of-bounds
+  /// access. Kernels are re-entrant: any number of threads may run one
+  /// handle at once.
   Status run(const std::map<std::string, Buffer *> &Args) const;
 
   /// Runs the kernel on behalf of serving request \p RequestId

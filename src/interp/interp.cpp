@@ -8,7 +8,6 @@
 #include <set>
 #include <unordered_map>
 
-#include "analysis/ragged.h"
 #include "math/linear.h"
 
 using namespace ft;
@@ -465,45 +464,7 @@ InterpStats ft::interpret(const Func &F,
 
 Status ft::validateArgs(const Func &F,
                         const std::map<std::string, Buffer *> &Args) {
-  return validateArgs(F, Args, extentParamsOf(F));
-}
-
-Status ft::validateArgs(const Func &F,
-                        const std::map<std::string, Buffer *> &Args,
-                        const ExtentSpec &Extents) {
-  for (const std::string &P : F.Params) {
-    auto It = Args.find(P);
-    if (It == Args.end() || It->second == nullptr)
-      return Status::error("missing argument `" + P + "`");
-    auto D = findVarDef(F.Body, P);
-    if (!D)
-      return Status::error("parameter `" + P + "` has no VarDef");
-    const Buffer &B = *It->second;
-    if (B.dtype() != D->Info.Dtype)
-      return Status::error("dtype mismatch for argument `" + P + "`");
-    if (B.shape().size() != D->Info.Shape.size())
-      return Status::error("rank mismatch for argument `" + P + "`: got " +
-                           std::to_string(B.shape().size()) + ", want " +
-                           std::to_string(D->Info.Shape.size()));
-    // Constant extents (the static-shape case) are checked here; symbolic
-    // extents are checked below against the bound extent arguments.
-    for (size_t Dim = 0; Dim < D->Info.Shape.size(); ++Dim)
-      if (auto C = dyn_cast<IntConstNode>(D->Info.Shape[Dim]))
-        if (B.shape()[Dim] != C->Val)
-          return Status::error(
-              "shape mismatch for argument `" + P + "` in dimension " +
-              std::to_string(Dim) + ": got " +
-              std::to_string(B.shape()[Dim]) + ", want " +
-              std::to_string(C->Val));
-  }
-  // Shape-generic functions: extent arguments must be bound, positive, and
-  // consistent with every buffer dimension they determine.
-  if (Status S = checkExtentArgs(F, Extents, Args); !S.ok())
-    return S;
-  // Ragged functions: index tensors must be non-negative, monotonically
-  // non-decreasing, and within the extents they gate (analysis/ragged.h) —
-  // the contract dependence analysis assumed when it proved schedules.
-  return checkIndptrArgs(F, Args);
+  return argContractOf(F).check(Args);
 }
 
 Status ft::interpretChecked(const Func &F,

@@ -68,22 +68,15 @@ InterpStats interpret(const Func &F,
                       const InterpOptions &Opts = {});
 
 /// Checks that every parameter of \p F is bound in \p Args with the right
-/// dtype, rank, and shape (the same contract Kernel::run enforces):
-/// constant extents must match the buffer exactly, and for shape-generic
-/// functions every extent parameter must be bound to an integer scalar
-/// >= 1 with the symbolic dimensions it determines matching the bound
-/// buffers (analysis/extents.h). Returns a typed error instead of
-/// aborting — callers that accept untrusted requests (the serving
-/// runtime) validate before execution.
+/// dtype, rank, and shape: argContractOf(F).check(Args), the contract
+/// Kernel::run enforces (analysis/extents.h). Constant extents must match
+/// the buffer exactly, and for shape-generic functions every extent
+/// parameter must be bound to an integer scalar >= 1 with the symbolic
+/// dimensions it determines matching the bound buffers. Returns a typed
+/// error instead of aborting. Callers that check many requests of one
+/// function (the serving runtime) build the contract once instead.
 Status validateArgs(const Func &F,
                     const std::map<std::string, Buffer *> &Args);
-
-/// validateArgs with a precomputed extent spec — the serving executor
-/// caches extentParamsOf(F) per fingerprint so the per-request check
-/// skips the discovery body walk.
-Status validateArgs(const Func &F,
-                    const std::map<std::string, Buffer *> &Args,
-                    const ExtentSpec &Extents);
 
 /// validateArgs + interpret: the Status-returning execution entry the
 /// serving runtime uses as its cold tier (a request whose kernel is not

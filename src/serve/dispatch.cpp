@@ -2,6 +2,8 @@
 
 #include "serve/dispatch.h"
 
+#include "serve/shape_key.h"
+
 using namespace ft;
 using namespace ft::serve;
 
@@ -18,6 +20,10 @@ const char *ft::serve::nameOf(KernelState S) {
   }
   return "?";
 }
+
+KernelEntry::KernelEntry(uint64_t Key, Func Fn, bool IsSpec)
+    : Key(Key), F(std::move(Fn)), Contract(argContractOf(F)),
+      StaticShapeKey(staticShapeKeyOf(Contract)), IsSpec(IsSpec) {}
 
 bool KernelEntry::beginCompile() {
   std::lock_guard<std::mutex> Lock(Mu);
@@ -60,8 +66,7 @@ std::shared_ptr<KernelEntry> KernelDirectory::intern(uint64_t Key,
   auto It = Map.find(Key);
   if (It != Map.end())
     return It->second;
-  auto E = std::make_shared<KernelEntry>(Key, F, extentParamsOf(F),
-                                         analyzeRagged(F));
+  auto E = std::make_shared<KernelEntry>(Key, F);
   Map.emplace(Key, E);
   return E;
 }

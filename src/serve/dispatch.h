@@ -26,7 +26,6 @@
 #include <unordered_map>
 
 #include "analysis/extents.h"
-#include "analysis/ragged.h"
 #include "codegen/jit.h"
 #include "ir/func.h"
 
@@ -47,19 +46,18 @@ struct KernelEntry {
   /// programs (the key hashes the whole program), so any one serves.
   const Func F;
 
-  /// The extent-parameter signature of F — non-empty iff this fingerprint
-  /// is shape-generic. Computed once at intern (a body walk per request
-  /// would tax the hot path). A specialized entry's spec holds only the
-  /// extents specialization left symbolic: empty for dense buckets, the
-  /// residual ragged extents (`nnz`) for sparse ones, so one specialized
-  /// kernel serves a whole nnz bucket.
-  const ExtentSpec Extents;
+  /// F's argument contract (analysis/extents.h): each parameter's VarDef,
+  /// the extent parameters (non-empty iff this fingerprint is
+  /// shape-generic) and the ragged structure (segment loops, index
+  /// tensors, nnz-sized dims). Computed once at intern, so validating a
+  /// request walks no IR; the ragged structure also picks the bucketed
+  /// shape key.
+  const ArgContract Contract;
 
-  /// The ragged structure of F (segment loops, index tensors, nnz-sized
-  /// dims) — empty for dense programs. Computed once at intern; per
-  /// request it picks the bucketed shape key and survives into specialized
-  /// entries so their residual nnz extents stay symbolic.
-  const RaggedInfo Ragged;
+  /// The shape key (serve/shape_key.h) every valid request of a
+  /// static-shape entry has, computed once at intern; empty when requests
+  /// can differ (symbolic extents, ragged sizes, 0-D integer arguments).
+  const std::string StaticShapeKey;
 
   /// True for a specialized shape-bucket entry (DESIGN.md §16): F has its
   /// extents constant-folded, and the compile thread schedules it
@@ -67,10 +65,7 @@ struct KernelEntry {
   /// instead of serving F as submitted.
   const bool IsSpec;
 
-  explicit KernelEntry(uint64_t Key, Func F, ExtentSpec Extents = {},
-                       RaggedInfo Ragged = {}, bool IsSpec = false)
-      : Key(Key), F(std::move(F)), Extents(std::move(Extents)),
-        Ragged(std::move(Ragged)), IsSpec(IsSpec) {}
+  explicit KernelEntry(uint64_t Key, Func F, bool IsSpec = false);
 
   /// The id of the request whose submit won beginCompile() — the compile
   /// thread stamps it on the serve/compile span and closes that request's

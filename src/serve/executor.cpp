@@ -76,8 +76,6 @@ Config Config::fromEnv() {
       envLong("FT_SERVE_QUEUE_CAP", static_cast<long>(C.QueueCap), 1));
   if (const char *E = std::getenv("FT_SERVE_ON_FULL"))
     C.BlockOnFull = std::strcmp(E, "block") == 0;
-  C.BatchWindowUs = static_cast<int>(
-      envLong("FT_SERVE_BATCH_WINDOW_US", C.BatchWindowUs, 0));
   C.MaxBatch = static_cast<size_t>(
       envLong("FT_SERVE_MAX_BATCH", static_cast<long>(C.MaxBatch), 1));
   if (const char *E = std::getenv("FT_SERVE_OPT_FLAGS"))
@@ -184,8 +182,6 @@ struct Executor::Impl {
       C.QueueCap = 1;
     if (C.MaxBatch < 1)
       C.MaxBatch = 1;
-    if (C.BatchWindowUs < 0)
-      C.BatchWindowUs = 0;
     return C;
   }
 
@@ -300,10 +296,11 @@ struct Executor::Impl {
   /// crosses SpecializeAfter (at most SpecializeMax buckets per
   /// fingerprint), and returns the bucket's specialized kernel when its
   /// background compile has landed. Null = serve the generic tier.
-  std::optional<Kernel> specKernelFor(KernelEntry *E, const Request &Req) {
-    // Ragged entries bucket by the pow2-rounded key: one bucket (and one
-    // specialized kernel) per nnz octave instead of one per exact nnz.
-    const std::string Bucket = bucketedShapeKeyOf(Req.Args, E->Ragged);
+  /// \p Bucket is the request's bucketed shape key: ragged entries bucket
+  /// by the pow2-rounded key, one bucket (and one specialized kernel) per
+  /// nnz octave instead of one per exact nnz.
+  std::optional<Kernel> specKernelFor(KernelEntry *E, const Request &Req,
+                                      const std::string &Bucket) {
     std::shared_ptr<KernelEntry> SE;
     {
       std::lock_guard<std::mutex> Lock(E->SpecMu);
@@ -312,7 +309,8 @@ struct Executor::Impl {
       if (!B.Entry && C.SpecializeMax > 0 && E->SpecCount < C.SpecializeMax &&
           B.Hits >= C.SpecializeAfter) {
         std::map<std::string, int64_t> Ext;
-        bool Bindable = bindExtentArgs(E->Extents, Req.Args, Ext).ok();
+        bool Bindable =
+            bindExtentArgs(E->Contract.Extents, Req.Args, Ext).ok();
         for (const auto &[Name, Val] : Ext)
           Bindable = Bindable && Val >= 1;
         // Ragged extents stay symbolic: folding the nominating request's
@@ -320,15 +318,13 @@ struct Executor::Impl {
         // bucket violates. Dense extents fold; nnz rides through as the
         // specialized entry's residual extent spec, bound per request by
         // Kernel::run.
-        for (const std::string &Name : E->Ragged.RaggedExtents)
+        for (const std::string &Name : E->Contract.Ragged.RaggedExtents)
           Ext.erase(Name);
         if (Bindable && !Ext.empty()) {
           Func SF = specializeFunc(E->F, Ext);
           uint64_t SKey = kernel_cache::cacheKey(SF, {}, C.SpecOptFlags).Full;
-          ExtentSpec Residual = extentParamsOf(SF);
-          B.Entry = std::make_shared<KernelEntry>(
-              SKey, std::move(SF), std::move(Residual), E->Ragged,
-              /*IsSpec=*/true);
+          B.Entry = std::make_shared<KernelEntry>(SKey, std::move(SF),
+                                                  /*IsSpec=*/true);
           ++E->SpecCount;
         }
       }
@@ -384,17 +380,12 @@ struct Executor::Impl {
     while (std::optional<Request> R = Q.popWait()) {
       Batch.clear();
       Batch.push_back(std::move(*R));
+      // Batch only what is already queued: a lone request's client is
+      // blocked in get(), so waiting for company would only delay it.
       KernelEntry *E = Batch.front().E.get();
-      auto SameEntry = [E](const Request &Req) { return Req.E.get() == E; };
-      if (C.MaxBatch > 1) {
-        if (C.BatchWindowUs > 0)
-          Q.extractIfUntil(SameEntry, C.MaxBatch - 1,
-                           Clock::now() +
-                               std::chrono::microseconds(C.BatchWindowUs),
-                           Batch);
-        else
-          Q.extractIf(SameEntry, C.MaxBatch - 1, Batch);
-      }
+      if (C.MaxBatch > 1)
+        Q.extractIf([E](const Request &Req) { return Req.E.get() == E; },
+                    C.MaxBatch - 1, Batch);
       QueueDepth.store(Q.size());
       executeBatch(Batch);
     }
@@ -409,8 +400,7 @@ struct Executor::Impl {
     while (Batch.size() > Prev &&
            !MaxBatch.compare_exchange_weak(Prev, Batch.size())) {
     }
-    const uint64_t BatchId =
-        telemetry::onBatch(static_cast<uint32_t>(Batch.size()));
+    uint64_t BatchId = 0; ///< Telemetry's id, taken with the first sample.
 
     for (Request &Req : Batch) {
       trace::Span Sp("serve/request");
@@ -420,26 +410,41 @@ struct Executor::Impl {
         trace::emitFlow("serve/req", Req.Ctx.Id, 't');
       Clock::time_point Start = Clock::now();
       // Validate on both tiers: requests are untrusted, and a compiled
-      // kernel would otherwise execute a bad binding unchecked. The cached
-      // extent spec saves the per-request body walk validateArgs would
-      // otherwise redo.
-      Status S = validateArgs(E->F, Req.Args, E->Extents);
+      // kernel would otherwise execute a bad binding unchecked. The entry's
+      // contract was built at intern, so this walks no IR.
+      Status S = E->Contract.check(Req.Args);
       const bool ArgsOk = S.ok();
+      // The request's bucketed shape key, built at most once: a valid
+      // request binding exactly a static-shape entry's parameters has the
+      // entry's precomputed key.
+      std::string Bucket;
+      auto ShapeKey = [&]() -> const std::string & {
+        if (ArgsOk && !E->StaticShapeKey.empty() &&
+            Req.Args.size() == E->Contract.Params.size())
+          return E->StaticShapeKey;
+        if (Bucket.empty())
+          Bucket = bucketedShapeKeyOf(Req.Args, E->Contract.Ragged);
+        return Bucket;
+      };
       // Tier selection is per request: on a shape-generic entry, a request
       // whose shape bucket has a landed specialization is served by that
       // kernel; everything else takes the generic kernel (or the
       // interpreter while it compiles).
       std::optional<Kernel> UseK = K;
       bool Specialized = false;
-      if (ArgsOk && C.Specialize && !E->Extents.empty())
-        if (std::optional<Kernel> SK = specKernelFor(E.get(), Req)) {
+      if (ArgsOk && C.Specialize && !E->Contract.Extents.empty())
+        if (std::optional<Kernel> SK =
+                specKernelFor(E.get(), Req, ShapeKey())) {
           UseK = std::move(SK);
           Specialized = true;
         }
       const Tier T = UseK ? Tier::Jit : Tier::Interp;
-      if (ArgsOk)
-        S = UseK ? UseK->run(Req.Args, Req.Ctx.Id)
-                 : interpretChecked(E->F, Req.Args);
+      if (ArgsOk) {
+        if (UseK)
+          S = UseK->run(Req.Args, Req.Ctx.Id);
+        else
+          interpret(E->F, Req.Args);
+      }
       Clock::time_point End = Clock::now();
 
       if (T == Tier::Jit)
@@ -460,28 +465,17 @@ struct Executor::Impl {
       const uint64_t TotalNs = toNs(Req.SubmitT, End);
       const bool DeadlineMissed =
           Req.Ctx.DeadlineNs > 0 && TotalNs > Req.Ctx.DeadlineNs;
-      if (telemetry::enabled()) {
-        telemetry::RequestSample TS;
-        TS.Fingerprint = E->Key;
-        TS.ReqId = Req.Ctx.Id;
-        TS.Tenant = Req.Ctx.Tenant;
-        TS.DeadlineNs = Req.Ctx.DeadlineNs;
-        // Ragged entries report the bucketed key: nnz that churns every
-        // request would otherwise shatter the shape table into
-        // one-hit-wonder rows `--advise` can never nominate.
-        TS.ShapeKey = bucketedShapeKeyOf(Req.Args, E->Ragged);
-        TS.ServedBy = T;
-        TS.Out = S.ok() ? Outcome::Ok
-                        : (ArgsOk ? Outcome::RunError : Outcome::InvalidArgs);
-        TS.QueueNs = toNs(Req.SubmitT, Start);
-        TS.RunNs = toNs(Start, End);
-        TS.TotalNs = TotalNs;
-        TS.BatchSize = static_cast<uint32_t>(Batch.size());
-        TS.BatchId = BatchId;
-        if (!S.ok())
-          TS.Error = S.message();
-        telemetry::onRequestComplete(TS);
-      }
+      // Telemetry records after the response is delivered, so its
+      // bookkeeping stays off the caller's latency; only the shape key,
+      // which may read the caller's buffers, is taken before. The batch is
+      // recorded with its first sample, and dropOutstanding() follows the
+      // record, so drain() still sees every sample.
+      const bool Record = telemetry::enabled();
+      const std::string *Key = Record ? &ShapeKey() : nullptr;
+      const Outcome Out =
+          S.ok() ? Outcome::Ok
+                 : (ArgsOk ? Outcome::RunError : Outcome::InvalidArgs);
+      std::string Error = Record && !S.ok() ? S.message() : std::string();
 
       Response Resp;
       Resp.S = std::move(S);
@@ -493,6 +487,28 @@ struct Executor::Impl {
       Resp.DeadlineMissed = DeadlineMissed;
       Resp.Specialized = Specialized;
       Req.P.set_value(std::move(Resp));
+      if (Record) {
+        if (BatchId == 0)
+          BatchId = telemetry::onBatch(static_cast<uint32_t>(Batch.size()));
+        telemetry::RequestSample TS;
+        TS.Fingerprint = E->Key;
+        TS.ReqId = Req.Ctx.Id;
+        TS.Tenant = Req.Ctx.Tenant;
+        TS.DeadlineNs = Req.Ctx.DeadlineNs;
+        // Ragged entries report the bucketed key: nnz that churns every
+        // request would otherwise shatter the shape table into
+        // one-hit-wonder rows `--advise` can never nominate.
+        TS.ShapeKey = *Key;
+        TS.ServedBy = T;
+        TS.Out = Out;
+        TS.QueueNs = toNs(Req.SubmitT, Start);
+        TS.RunNs = toNs(Start, End);
+        TS.TotalNs = TotalNs;
+        TS.BatchSize = static_cast<uint32_t>(Batch.size());
+        TS.BatchId = BatchId;
+        TS.Error = std::move(Error);
+        telemetry::onRequestComplete(TS);
+      }
       dropOutstanding();
     }
   }

@@ -2,8 +2,8 @@
 
 #include "serve/flight_recorder.h"
 
+#include <algorithm>
 #include <cstdlib>
-#include <deque>
 #include <iterator>
 #include <mutex>
 
@@ -41,10 +41,24 @@ const char *nameOf(Outcome O) {
 
 struct FlightRecorder::Impl {
   mutable std::mutex Mu;
-  std::deque<FlightEvent> Ring;
+  /// The buffered events in slots reused in place: the ring grows to Cap,
+  /// then each record move-assigns over the oldest slot, so a full ring
+  /// allocates and frees nothing per event.
+  std::vector<FlightEvent> Ring;
+  size_t Head = 0; ///< Slot of the oldest event; 0 until the ring is full.
   size_t Cap;
   uint64_t NextSeq = 0;
   FlightSummary Sum;
+
+  /// The \p J-th oldest buffered event.
+  const FlightEvent &at(size_t J) const {
+    return Ring[(Head + J) % Ring.size()];
+  }
+  /// Rotates the ring so that slot 0 holds the oldest event.
+  void unwrap() {
+    std::rotate(Ring.begin(), Ring.begin() + Head, Ring.end());
+    Head = 0;
+  }
 };
 
 FlightRecorder::FlightRecorder(size_t Cap) : I(std::make_unique<Impl>()) {
@@ -78,13 +92,17 @@ void FlightRecorder::record(FlightEvent E) {
     ++I->Sum.RejectedShutdown;
     break;
   }
-  if (I->Ring.size() >= I->Cap)
-    I->Ring.pop_front();
-  I->Ring.push_back(std::move(E));
+  if (I->Ring.size() < I->Cap) {
+    I->Ring.push_back(std::move(E));
+  } else {
+    I->Ring[I->Head] = std::move(E);
+    I->Head = (I->Head + 1) % I->Ring.size();
+  }
 }
 
 std::vector<FlightEvent> FlightRecorder::drain() {
   std::lock_guard<std::mutex> L(I->Mu);
+  I->unwrap();
   std::vector<FlightEvent> Out(std::make_move_iterator(I->Ring.begin()),
                                std::make_move_iterator(I->Ring.end()));
   I->Ring.clear();
@@ -99,7 +117,7 @@ std::vector<FlightEvent> FlightRecorder::peek(size_t Max) const {
   Out.reserve(Take);
   // Newest Take events, still emitted oldest-first.
   for (size_t J = N - Take; J < N; ++J)
-    Out.push_back(I->Ring[J]);
+    Out.push_back(I->at(J));
   return Out;
 }
 
@@ -121,13 +139,15 @@ size_t FlightRecorder::size() const {
 void FlightRecorder::setCapacity(size_t Cap) {
   std::lock_guard<std::mutex> L(I->Mu);
   I->Cap = Cap == 0 ? 1 : Cap;
-  while (I->Ring.size() > I->Cap)
-    I->Ring.pop_front();
+  I->unwrap();
+  if (I->Ring.size() > I->Cap)
+    I->Ring.erase(I->Ring.begin(), I->Ring.end() - I->Cap);
 }
 
 void FlightRecorder::reset() {
   std::lock_guard<std::mutex> L(I->Mu);
   I->Ring.clear();
+  I->Head = 0;
   I->Sum = FlightSummary{};
   I->NextSeq = 0;
 }

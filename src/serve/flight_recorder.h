@@ -16,9 +16,10 @@
 /// Cumulative per-outcome totals are kept next to the ring so a summary
 /// survives however many times the ring wrapped.
 ///
-/// Recording takes one short mutex hold; the recorder is only fed when
-/// serve::telemetry::enabled() — the disabled request path never touches
-/// it (see serve/telemetry.h for the gate).
+/// Recording takes one short mutex hold and, once the ring is full,
+/// reuses the oldest event's slot instead of allocating. The recorder is
+/// only fed when serve::telemetry::enabled() — the disabled request path
+/// never touches it (see serve/telemetry.h for the gate).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -7,16 +7,21 @@
 /// space frees (block policy); consumers block until work or close().
 ///
 /// Beyond plain push/pop it supports the dispatcher's micro-batching scan:
-/// extractIf pulls every queued element matching a predicate (same kernel
-/// fingerprint) so one worker can execute them back-to-back, and the timed
-/// variant keeps collecting arrivals until a deadline — the batch window.
+/// extractIf pulls the queued elements matching a predicate (same kernel
+/// fingerprint) so one worker can execute them back-to-back. It never
+/// waits for more to arrive.
+///
+/// A push wakes the consumer that went idle last. Under light load one
+/// worker then serves request after request on a warm core, where waking
+/// the longest-idle one would alternate the workers and move the kernel's
+/// buffers and the telemetry state to another core on every request.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FT_SERVE_QUEUE_H
 #define FT_SERVE_QUEUE_H
 
-#include <chrono>
+#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -47,8 +52,8 @@ public:
       if (Q.size() >= Cap)
         return PushResult::Full;
       Q.push_back(std::move(V));
+      wakeLastIdleLocked();
     }
-    NotEmpty.notify_one();
     return PushResult::Ok;
   }
 
@@ -61,8 +66,8 @@ public:
       if (IsClosed)
         return PushResult::Closed;
       Q.push_back(std::move(V));
+      wakeLastIdleLocked();
     }
-    NotEmpty.notify_one();
     return PushResult::Ok;
   }
 
@@ -72,7 +77,15 @@ public:
     std::optional<T> Out;
     {
       std::unique_lock<std::mutex> Lock(Mu);
-      NotEmpty.wait(Lock, [&] { return IsClosed || !Q.empty(); });
+      while (Q.empty() && !IsClosed) {
+        std::condition_variable Cv;
+        Idle.push_back(&Cv);
+        Cv.wait(Lock);
+        // A waker pops its target off Idle; a spurious wakeup must.
+        auto It = std::find(Idle.begin(), Idle.end(), &Cv);
+        if (It != Idle.end())
+          Idle.erase(It);
+      }
       if (Q.empty())
         return std::nullopt;
       Out = std::move(Q.front());
@@ -89,30 +102,13 @@ public:
     size_t Moved = 0;
     {
       std::lock_guard<std::mutex> Lock(Mu);
-      Moved = extractLocked(P, Max, Out);
-    }
-    if (Moved > 0)
-      NotFull.notify_all();
-    return Moved;
-  }
-
-  /// Like extractIf, but keeps collecting matching arrivals until \p Max
-  /// elements were gathered or \p Deadline passes — the micro-batch window.
-  /// Non-matching elements are left queued for other consumers.
-  template <typename Pred>
-  size_t extractIfUntil(const Pred &P, size_t Max,
-                        std::chrono::steady_clock::time_point Deadline,
-                        std::vector<T> &Out) {
-    size_t Moved = 0;
-    {
-      std::unique_lock<std::mutex> Lock(Mu);
-      for (;;) {
-        Moved += extractLocked(P, Max - Moved, Out);
-        if (Moved >= Max || IsClosed)
-          break;
-        if (NotEmpty.wait_until(Lock, Deadline) == std::cv_status::timeout) {
-          Moved += extractLocked(P, Max - Moved, Out);
-          break;
+      for (auto It = Q.begin(); It != Q.end() && Moved < Max;) {
+        if (P(*It)) {
+          Out.push_back(std::move(*It));
+          It = Q.erase(It);
+          ++Moved;
+        } else {
+          ++It;
         }
       }
     }
@@ -127,8 +123,10 @@ public:
     {
       std::lock_guard<std::mutex> Lock(Mu);
       IsClosed = true;
+      for (std::condition_variable *Cv : Idle)
+        Cv->notify_one();
+      Idle.clear();
     }
-    NotEmpty.notify_all();
     NotFull.notify_all();
   }
 
@@ -145,23 +143,19 @@ public:
   size_t capacity() const { return Cap; }
 
 private:
-  template <typename Pred>
-  size_t extractLocked(const Pred &P, size_t Max, std::vector<T> &Out) {
-    size_t Moved = 0;
-    for (auto It = Q.begin(); It != Q.end() && Moved < Max;) {
-      if (P(*It)) {
-        Out.push_back(std::move(*It));
-        It = Q.erase(It);
-        ++Moved;
-      } else {
-        ++It;
-      }
-    }
-    return Moved;
+  /// Wakes the consumer that went idle last. Called with Mu held: the
+  /// condition variable lives on the waiting consumer's stack, which it
+  /// cannot leave before reacquiring Mu.
+  void wakeLastIdleLocked() {
+    if (Idle.empty())
+      return;
+    Idle.back()->notify_one();
+    Idle.pop_back();
   }
 
   mutable std::mutex Mu;
-  std::condition_variable NotEmpty;
+  /// Consumers blocked in popWait, in the order they went idle.
+  std::vector<std::condition_variable *> Idle;
   std::condition_variable NotFull;
   std::deque<T> Q;
   size_t Cap;

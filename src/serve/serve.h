@@ -21,9 +21,10 @@
 /// the compile fails, the fingerprint is pinned to the interpreter forever
 /// and the failure is counted — degraded, never broken.
 ///
-/// Same-fingerprint requests arriving within a short window are micro-batched:
-/// one worker executes them back-to-back while the kernel's code and the
-/// request's metadata are hot, amortizing per-dispatch overhead.
+/// Same-fingerprint requests already queued when a worker pops one are
+/// micro-batched: the worker executes them back-to-back while the kernel's
+/// code and metadata are hot. A worker never waits for a batch to fill, so
+/// a lone request goes straight to execution.
 ///
 /// Configuration comes from Config::fromEnv (FT_SERVE_* variables; see the
 /// README's environment table). Every executor mirrors its counters into the
@@ -68,9 +69,8 @@ struct Config {
   /// false = "reject" (submit returns a typed error immediately),
   /// true = "block" (submit waits for space).
   bool BlockOnFull = false;
-  /// Micro-batch collection window in microseconds
-  /// (FT_SERVE_BATCH_WINDOW_US, default 200; 0 batches only what is
-  /// already queued, never waiting).
+  /// Unread. Workers batch only what is already queued, never waiting for
+  /// arrivals; the field stays only because existing callers assign it.
   int BatchWindowUs = 200;
   /// Largest micro-batch one worker executes back-to-back
   /// (FT_SERVE_MAX_BATCH, default 16; 1 disables batching).

@@ -6,6 +6,8 @@
 #include <cstdlib>
 #include <vector>
 
+#include "ir/ast.h"
+
 using namespace ft;
 using namespace ft::serve;
 
@@ -21,22 +23,22 @@ int64_t pow2BucketOf(int64_t V) {
   return B;
 }
 
-/// One signature segment for parameter \p Name bound to \p B. Ragged sizes
+/// One signature segment for parameter \p Name of dtype \p DT and shape
+/// \p Sh; \p Scalar is the value of a 0-D integer binding. Ragged sizes
 /// (per \p RI; null = none) are bucketed and spelled `~bucket`.
-std::string segmentOf(const std::string &Name, const Buffer *B,
+std::string segmentOf(const std::string &Name, DataType DT,
+                      const std::vector<int64_t> &Sh, int64_t Scalar,
                       const RaggedInfo *RI) {
   std::string P = Name;
   P += ':';
-  P += nameOf(B->dtype());
-  const std::vector<int64_t> &Sh = B->shape();
-  if (Sh.empty() && isInt(B->dtype())) {
-    const int64_t V = B->getI(0);
+  P += nameOf(DT);
+  if (Sh.empty() && isInt(DT)) {
     if (RI && RI->isRaggedExtent(Name)) {
       P += '~';
-      P += std::to_string(pow2BucketOf(V));
+      P += std::to_string(pow2BucketOf(Scalar));
     } else {
       P += '=';
-      P += std::to_string(V);
+      P += std::to_string(Scalar);
     }
   } else {
     const std::set<int> *Ragged = nullptr;
@@ -61,17 +63,10 @@ std::string segmentOf(const std::string &Name, const Buffer *B,
   return P;
 }
 
-std::string keyOf(const std::map<std::string, Buffer *> &Args,
-                  const RaggedInfo *RI) {
-  // Collect then sort explicitly: the signature must be canonical for any
-  // caller-side container, not an accident of std::map iteration order.
-  std::vector<std::pair<std::string, std::string>> Parts;
-  Parts.reserve(Args.size());
-  for (const auto &[Name, B] : Args) {
-    if (!B)
-      continue;
-    Parts.emplace_back(Name, segmentOf(Name, B, RI));
-  }
+/// Joins (name, segment) pairs sorted by name: the signature must be
+/// canonical for any caller-side container, not an accident of its
+/// iteration order.
+std::string joinSorted(std::vector<std::pair<std::string, std::string>> Parts) {
   std::sort(Parts.begin(), Parts.end());
   std::string K;
   for (const auto &[Name, P] : Parts) {
@@ -80,6 +75,20 @@ std::string keyOf(const std::map<std::string, Buffer *> &Args,
     K += P;
   }
   return K;
+}
+
+std::string keyOf(const std::map<std::string, Buffer *> &Args,
+                  const RaggedInfo *RI) {
+  std::vector<std::pair<std::string, std::string>> Parts;
+  Parts.reserve(Args.size());
+  for (const auto &[Name, B] : Args) {
+    if (!B)
+      continue;
+    const bool IntScalar = B->shape().empty() && isInt(B->dtype());
+    Parts.emplace_back(Name, segmentOf(Name, B->dtype(), B->shape(),
+                                       IntScalar ? B->getI(0) : 0, RI));
+  }
+  return joinSorted(std::move(Parts));
 }
 
 } // namespace
@@ -92,6 +101,28 @@ std::string
 ft::serve::bucketedShapeKeyOf(const std::map<std::string, Buffer *> &Args,
                               const RaggedInfo &RI) {
   return keyOf(Args, RI.empty() ? nullptr : &RI);
+}
+
+std::string ft::serve::staticShapeKeyOf(const ArgContract &C) {
+  if (!C.Ragged.empty())
+    return {}; // Ragged sizes are bucketed per request.
+  std::vector<std::pair<std::string, std::string>> Parts;
+  for (const ArgContract::Param &P : C.Params) {
+    if (!P.Def)
+      return {};
+    const TensorInfo &Info = P.Def->Info;
+    if (Info.Shape.empty() && isInt(Info.Dtype))
+      return {}; // The key spells the value (extents included).
+    std::vector<int64_t> Sh;
+    for (const Expr &Dim : Info.Shape) {
+      auto C = dyn_cast<IntConstNode>(Dim);
+      if (!C)
+        return {};
+      Sh.push_back(C->Val);
+    }
+    Parts.emplace_back(P.Name, segmentOf(P.Name, Info.Dtype, Sh, 0, nullptr));
+  }
+  return joinSorted(std::move(Parts));
 }
 
 Result<std::map<std::string, int64_t>>

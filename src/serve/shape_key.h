@@ -32,7 +32,7 @@
 #include <map>
 #include <string>
 
-#include "analysis/ragged.h"
+#include "analysis/extents.h"
 #include "interp/buffer.h"
 #include "support/error.h"
 
@@ -48,6 +48,13 @@ std::string shapeKeyOf(const std::map<std::string, Buffer *> &Args);
 /// prefixed with `~`. With an empty \p RI this is exactly shapeKeyOf.
 std::string bucketedShapeKeyOf(const std::map<std::string, Buffer *> &Args,
                                const RaggedInfo &RI);
+
+/// The key every request that satisfies \p C with exactly its parameters
+/// has, when that is one key: no extent parameters, no ragged sizes and no
+/// 0-D integer parameters (whose values the key spells). Empty otherwise.
+/// The executor computes it once per static-shape fingerprint instead of
+/// once per request.
+std::string staticShapeKeyOf(const ArgContract &C);
 
 /// Extracts the `name:iNN=value` scalar entries of a shape key produced by
 /// shapeKeyOf. Tensor entries (`[...]`) and bucketed entries (`~`) are

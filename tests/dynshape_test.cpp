@@ -10,7 +10,8 @@
 //     exactly one generic background compile (the fingerprint never sees
 //     a literal extent) and every response is interpreter-equal;
 //   - validateArgs / Kernel::run negative paths: missing, zero, negative,
-//     and inconsistent extent bindings are typed errors, not UB.
+//     and inconsistent extent bindings, and a buffer shorter than a static
+//     kernel's declared extent, are typed errors, not UB.
 //
 //===----------------------------------------------------------------------===//
 
@@ -81,10 +82,9 @@ protected:
     ::setenv("FT_CACHE", "1", 1);
     for (const char *V :
          {"FT_SERVE_THREADS", "FT_SERVE_QUEUE_CAP", "FT_SERVE_ON_FULL",
-          "FT_SERVE_BATCH_WINDOW_US", "FT_SERVE_MAX_BATCH",
-          "FT_SERVE_OPT_FLAGS", "FT_SERVE_RT_THREADS", "FT_TELEMETRY_DIR",
-          "FT_SPECIALIZE", "FT_SPECIALIZE_AFTER", "FT_SPECIALIZE_MAX",
-          "FT_SPECIALIZE_OPT_FLAGS"})
+          "FT_SERVE_MAX_BATCH", "FT_SERVE_OPT_FLAGS", "FT_SERVE_RT_THREADS",
+          "FT_TELEMETRY_DIR", "FT_SPECIALIZE", "FT_SPECIALIZE_AFTER",
+          "FT_SPECIALIZE_MAX", "FT_SPECIALIZE_OPT_FLAGS"})
       ::unsetenv(V);
     telemetry::setEnabled(false);
     telemetry::reset();
@@ -184,7 +184,6 @@ TEST_F(DynShapeTest, DifferentialFuzzSymbolicStrides) {
 TEST_F(DynShapeTest, RaggedServeCompilesOnceForAllShapes) {
   Func F = makeDynAxpy();
   Config C;
-  C.BatchWindowUs = 0;
   C.Specialize = true;
   C.SpecializeAfter = 4;
   C.SpecializeMax = 2;
@@ -294,4 +293,42 @@ TEST_F(DynShapeTest, KernelRunRejectsBadExtentBindings) {
     ASSERT_FALSE(S.ok());
     EXPECT_NE(S.message().find("rank"), std::string::npos) << S.message();
   }
+}
+
+TEST_F(DynShapeTest, KernelRunRejectsMisSizedStaticBuffers) {
+  // A static-shape kernel indexes with its declared extents, so a buffer
+  // shorter than declared is a typed error, not a read past its end — the
+  // same error validateArgs gives.
+  FunctionBuilder B("static4096");
+  View X = B.input("x", {ic(4096)});
+  View Y = B.output("y", {ic(4096)});
+  B.loop("i", ic(0), ic(4096), [&](Expr I) {
+    Y[I].assign(X[I].load() * makeFloatConst(2.0));
+  });
+  Func F = B.build();
+  auto K = Kernel::compile(F, "-O2");
+  ASSERT_TRUE(K.ok()) << K.status().message();
+
+  Buffer X16(DataType::Float32, {16}), Y4096(DataType::Float32, {4096});
+  std::map<std::string, Buffer *> Args{{"x", &X16}, {"y", &Y4096}};
+  Status S = K->run(Args);
+  ASSERT_FALSE(S.ok());
+  EXPECT_NE(S.message().find("shape mismatch"), std::string::npos)
+      << S.message();
+  EXPECT_EQ(S.message(), validateArgs(F, Args).message());
+}
+
+TEST_F(DynShapeTest, StaticShapeKeyOnlyForFixedSignatures) {
+  // The executor computes a static-shape fingerprint's shape key once; it
+  // must spell exactly what the per-request key of a valid binding spells.
+  FunctionBuilder B("rows64x8");
+  View X = B.input("x", {ic(64), ic(8)});
+  View Y = B.output("y", {ic(64)});
+  B.loop("i", ic(0), ic(64), [&](Expr I) { Y[I].assign(X[I][ic(0)].load()); });
+  Func F = B.build();
+  Buffer X64(DataType::Float32, {64, 8}), Y64(DataType::Float32, {64});
+  EXPECT_EQ(staticShapeKeyOf(argContractOf(F)),
+            shapeKeyOf({{"x", &X64}, {"y", &Y64}}));
+  // An extent parameter's value is part of every request's key.
+  EXPECT_EQ(staticShapeKeyOf(argContractOf(makeDynAxpy())), "");
 }

@@ -9,6 +9,8 @@
 //   - a warm kernel cache makes the very first request JIT-tier (no compile);
 //   - queue-full backpressure: reject policy returns a typed error, block
 //     policy completes everything;
+//   - the request queue hands each push to exactly one consumer, also when
+//     consumers keep going idle, and close() releases the idle ones;
 //   - shutdown with pending work completes every accepted request;
 //   - a failing background compile pins the fingerprint to the interpreter
 //     (degraded, not broken) and is counted;
@@ -23,6 +25,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <future>
@@ -35,6 +39,7 @@
 #include "codegen/kernel_cache.h"
 #include "frontend/builder.h"
 #include "interp/interp.h"
+#include "serve/queue.h"
 #include "serve/serve.h"
 #include "serve/telemetry.h"
 #include "support/metrics.h"
@@ -104,9 +109,9 @@ protected:
     ::setenv("FT_CACHE", "1", 1);
     for (const char *V :
          {"FT_SERVE_THREADS", "FT_SERVE_QUEUE_CAP", "FT_SERVE_ON_FULL",
-          "FT_SERVE_BATCH_WINDOW_US", "FT_SERVE_MAX_BATCH",
-          "FT_SERVE_OPT_FLAGS", "FT_SERVE_RT_THREADS", "FT_TELEMETRY_DIR",
-          "FT_TELEMETRY_INTERVAL_MS", "FT_TELEMETRY_KEEP", "FT_FLIGHT_CAP"})
+          "FT_SERVE_MAX_BATCH", "FT_SERVE_OPT_FLAGS", "FT_SERVE_RT_THREADS",
+          "FT_TELEMETRY_DIR", "FT_TELEMETRY_INTERVAL_MS", "FT_TELEMETRY_KEEP",
+          "FT_FLIGHT_CAP"})
       ::unsetenv(V);
     telemetry::setEnabled(false);
     telemetry::reset();
@@ -255,6 +260,38 @@ TEST_F(ServeTest, QueueFullRejectsWithTypedError) {
   EXPECT_EQ(St.Submitted, static_cast<uint64_t>(Accepted));
 }
 
+TEST_F(ServeTest, QueueHandsEachPushToOneConsumerAndCloseWakesTheRest) {
+  // The producer pauses every 16 pushes, so consumers keep going idle and
+  // pushes keep landing on blocked ones: every element must reach exactly
+  // one consumer, and close() must release those still waiting.
+  BoundedQueue<int> Q(8);
+  constexpr int kItems = 2000, kConsumers = 4;
+  std::atomic<int64_t> Sum{0};
+  std::atomic<int> Count{0};
+  std::vector<std::thread> Consumers;
+  for (int C = 0; C < kConsumers; ++C)
+    Consumers.emplace_back([&] {
+      while (std::optional<int> V = Q.popWait()) {
+        Sum += *V;
+        ++Count;
+      }
+    });
+  for (int I = 1; I <= kItems; ++I) {
+    EXPECT_EQ(Q.pushWait(I), PushResult::Ok);
+    if (I % 16 == 0)
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  while (Count.load() < kItems)
+    std::this_thread::yield();
+  Q.close();
+  for (std::thread &T : Consumers)
+    T.join();
+  EXPECT_EQ(Count.load(), kItems);
+  EXPECT_EQ(Sum.load(), int64_t(kItems) * (kItems + 1) / 2);
+  EXPECT_EQ(Q.pushWait(1), PushResult::Closed);
+  EXPECT_FALSE(Q.popWait().has_value());
+}
+
 TEST_F(ServeTest, BlockPolicyCompletesEverything) {
   Func F = makeSlow();
   Config C;
@@ -352,14 +389,20 @@ TEST_F(ServeTest, CompileFailurePinsInterpreterFallback) {
 }
 
 TEST_F(ServeTest, MicroBatchingMatchesReferenceOutputs) {
-  Func F = makeAxpy(2.5);
+  Func Slow = makeSlow(), F = makeAxpy(2.5);
   Config C;
-  C.Threads = 1;            // one worker => arrivals pile up behind it
-  C.BatchWindowUs = 20000;  // generous window: the 8 submits land inside it
+  C.Threads = 1; // one worker => arrivals pile up behind it
   C.MaxBatch = 8;
   C.BlockOnFull = true;
   Executor Ex(C);
 
+  // The worker interprets the slow request while the 8 axpy requests
+  // queue behind it; it then takes them as already-queued batches.
+  Slot Busy;
+  seed(Busy.X);
+  zero(Busy.Y);
+  auto BusySub = Ex.submit(Slow, Busy.args(Slow));
+  ASSERT_TRUE(BusySub.ok()) << BusySub.message();
   constexpr int kReqs = 8;
   std::vector<Slot> Slots(kReqs);
   for (int R = 0; R < kReqs; ++R) {
@@ -368,6 +411,8 @@ TEST_F(ServeTest, MicroBatchingMatchesReferenceOutputs) {
     ASSERT_TRUE(Sub.ok()) << Sub.message();
     Slots[R].Fut = std::move(*Sub);
   }
+  Response BusyResp = BusySub->get();
+  ASSERT_TRUE(BusyResp.S.ok()) << BusyResp.S.message();
 
   uint64_t MaxBatch = 0;
   for (Slot &S : Slots) {

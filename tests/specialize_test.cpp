@@ -68,10 +68,9 @@ protected:
     ::setenv("FT_CACHE", "1", 1);
     for (const char *V :
          {"FT_SERVE_THREADS", "FT_SERVE_QUEUE_CAP", "FT_SERVE_ON_FULL",
-          "FT_SERVE_BATCH_WINDOW_US", "FT_SERVE_MAX_BATCH",
-          "FT_SERVE_OPT_FLAGS", "FT_SERVE_RT_THREADS", "FT_TELEMETRY_DIR",
-          "FT_SPECIALIZE", "FT_SPECIALIZE_AFTER", "FT_SPECIALIZE_MAX",
-          "FT_SPECIALIZE_OPT_FLAGS"})
+          "FT_SERVE_MAX_BATCH", "FT_SERVE_OPT_FLAGS", "FT_SERVE_RT_THREADS",
+          "FT_TELEMETRY_DIR", "FT_SPECIALIZE", "FT_SPECIALIZE_AFTER",
+          "FT_SPECIALIZE_MAX", "FT_SPECIALIZE_OPT_FLAGS"})
       ::unsetenv(V);
     telemetry::setEnabled(false);
     telemetry::reset();
@@ -183,7 +182,6 @@ TEST_F(SpecializeTest, HotBucketPromotesToSpecializedBitIdentical) {
   Func F = makeDynAxpy();
   Config C;
   C.Threads = 2;
-  C.BatchWindowUs = 0;
   C.Specialize = true;
   C.SpecializeAfter = 5;
   C.SpecializeMax = 2;
@@ -239,7 +237,6 @@ TEST_F(SpecializeTest, HotBucketPromotesToSpecializedBitIdentical) {
 TEST_F(SpecializeTest, SpecializeOffServesGenericOnly) {
   Func F = makeDynAxpy();
   Config C;
-  C.BatchWindowUs = 0;
   C.Specialize = false;
   C.SpecializeAfter = 1;
   Executor Ex(C);
@@ -266,7 +263,6 @@ TEST_F(SpecializeTest, SpecializeOffServesGenericOnly) {
 TEST_F(SpecializeTest, SpecializeMaxCapsBuckets) {
   Func F = makeDynAxpy();
   Config C;
-  C.BatchWindowUs = 0;
   C.Specialize = true;
   C.SpecializeAfter = 1;
   C.SpecializeMax = 1; // only ONE bucket may specialize

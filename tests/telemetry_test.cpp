@@ -432,13 +432,22 @@ TEST_F(TelemetryTest, HostileStringsRoundTripThroughSnapshot) {
 
 TEST_F(TelemetryTest, FlightRecorderWrapsAndDrainsInOrder) {
   FlightRecorder FR(4);
-  for (uint64_t I = 0; I < 10; ++I) {
+  auto Rec = [&FR](uint64_t Fp) {
     FlightEvent E;
-    E.Fingerprint = I;
+    E.Fingerprint = Fp;
     FR.record(std::move(E));
-  }
+  };
+  auto Fps = [](const std::vector<FlightEvent> &Evs) {
+    std::vector<uint64_t> Out;
+    for (const FlightEvent &E : Evs)
+      Out.push_back(E.Fingerprint);
+    return Out;
+  };
+  for (uint64_t I = 0; I < 10; ++I)
+    Rec(I);
   EXPECT_EQ(FR.size(), 4u);
   EXPECT_EQ(FR.capacity(), 4u);
+  EXPECT_EQ(Fps(FR.peek(2)), (std::vector<uint64_t>{8, 9}));
   std::vector<FlightEvent> Got = FR.drain();
   ASSERT_EQ(Got.size(), 4u);
   // The newest four, oldest first, with the stamped Seq preserved.
@@ -449,6 +458,18 @@ TEST_F(TelemetryTest, FlightRecorderWrapsAndDrainsInOrder) {
   EXPECT_EQ(FR.size(), 0u);
   // drain() leaves the cumulative summary alone.
   EXPECT_EQ(FR.summary().Recorded, 10u);
+
+  // Resizing a wrapped ring: shrinking keeps the newest events, growing
+  // keeps them all and fills the new slots before evicting again.
+  for (uint64_t I = 10; I < 16; ++I)
+    Rec(I);
+  FR.setCapacity(3);
+  EXPECT_EQ(Fps(FR.peek()), (std::vector<uint64_t>{13, 14, 15}));
+  Rec(16);
+  FR.setCapacity(5);
+  for (uint64_t I = 17; I < 20; ++I)
+    Rec(I);
+  EXPECT_EQ(Fps(FR.drain()), (std::vector<uint64_t>{15, 16, 17, 18, 19}));
 }
 
 TEST_F(TelemetryTest, FlightRecorderOutcomeTalliesAndTruncation) {

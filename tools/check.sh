@@ -26,7 +26,8 @@
 # 7. Serve smoke: the tiered serving bench must pass its acceptance
 #    criteria (cold request hides the compile, >= 95% JIT after warm-up,
 #    bounded queue rejects under overload) and write schema-valid
-#    BENCH_serve.json — plain and under ASan.
+#    BENCH_serve.json, including the warm JIT p50 over a direct run —
+#    plain and under ASan.
 # 8. Telemetry smoke: a serve run with FT_TELEMETRY_DIR set must publish
 #    >= 2 schema-valid snapshots with strictly monotone sequence numbers
 #    and no unpublished tmp files, and `ftc --top` must round-trip the
@@ -298,6 +299,9 @@ assert warm["jit_fraction"] >= warm["target_fraction"], \
     f"warm jit fraction {warm['jit_fraction']} below target"
 assert over["rejected"] > 0, "10x overload produced no rejections"
 assert over["accepted"] + over["rejected"] == over["offered"]
+# Serving overhead against the kernel alone (ROADMAP item 2's ratio).
+for key in ("jit_p50_us", "direct_run_us", "jit_over_direct"):
+    assert warm.get(key, 0) > 0, f"warm.{key} missing or not positive"
 for tier in ("interp", "jit"):
     t = doc["tiers"][tier]
     assert t["count"] > 0, f"no {tier}-tier samples"
@@ -306,7 +310,8 @@ for tier in ("interp", "jit"):
 assert doc["pass"] is True
 print(f"serve smoke OK: cold {cold['first_request_sec']*1e3:.1f} ms vs "
       f"compile {cold['compile_ref_sec']:.2f} s, "
-      f"warm jit {warm['jit_fraction']*100:.1f}%, "
+      f"warm jit {warm['jit_fraction']*100:.1f}% "
+      f"(p50 {warm['jit_over_direct']:.1f}x a direct run), "
       f"overload rejected {over['rejected']}/{over['offered']}")
 PYEOF
 }
