@@ -11,10 +11,12 @@
 #include <thread>
 
 #include "analysis/affine.h"
+#include "analysis/vector_legality.h"
 #include "codegen/jit.h"
 #include "ir/compare.h"
 #include "ir/func.h"
 #include "ir/printer.h"
+#include "ir/visitor.h"
 #include "pass/const_fold.h"
 #include "pass/scalar_prop.h"
 #include "pass/shrink_var.h"
@@ -29,30 +31,31 @@ struct LoopInfo {
   Ref<ForNode> Node;
   int Depth = 0;       ///< Number of enclosing loops.
   bool Innermost = true;
+  int Parent = -1;     ///< Index of the enclosing loop in the list, or -1.
 };
 
-void collectLoops(const Stmt &S, int Depth, std::vector<LoopInfo> &Out) {
+void collectLoops(const Stmt &S, int Parent, std::vector<LoopInfo> &Out) {
   switch (S->kind()) {
   case NodeKind::StmtSeq:
     for (const Stmt &Sub : cast<StmtSeqNode>(S)->Stmts)
-      collectLoops(Sub, Depth, Out);
+      collectLoops(Sub, Parent, Out);
     return;
   case NodeKind::VarDef:
-    collectLoops(cast<VarDefNode>(S)->Body, Depth, Out);
+    collectLoops(cast<VarDefNode>(S)->Body, Parent, Out);
     return;
   case NodeKind::If: {
     auto I = cast<IfNode>(S);
-    collectLoops(I->Then, Depth, Out);
+    collectLoops(I->Then, Parent, Out);
     if (I->Else)
-      collectLoops(I->Else, Depth, Out);
+      collectLoops(I->Else, Parent, Out);
     return;
   }
   case NodeKind::For: {
     auto L = cast<ForNode>(S);
-    size_t Mark = Out.size();
-    Out.push_back({L, Depth, true});
-    collectLoops(L->Body, Depth + 1, Out);
-    if (Out.size() > Mark + 1)
+    int Mark = static_cast<int>(Out.size());
+    Out.push_back({L, Parent < 0 ? 0 : Out[Parent].Depth + 1, true, Parent});
+    collectLoops(L->Body, Mark, Out);
+    if (static_cast<int>(Out.size()) > Mark + 1)
       Out[Mark].Innermost = false;
     return;
   }
@@ -63,7 +66,7 @@ void collectLoops(const Stmt &S, int Depth, std::vector<LoopInfo> &Out) {
 
 std::vector<LoopInfo> collectLoops(const Stmt &Root) {
   std::vector<LoopInfo> Out;
-  collectLoops(Root, 0, Out);
+  collectLoops(Root, -1, Out);
   return Out;
 }
 
@@ -348,6 +351,18 @@ int autoParallelize(Schedule &S, int NumThreads) {
   return N;
 }
 
+/// Elements of the tensor \p Def defines, when its shape is constant.
+std::optional<int64_t> constNumel(const Ref<VarDefNode> &Def) {
+  int64_t N = 1;
+  for (const Expr &E : Def->Info.Shape) {
+    auto I = dyn_cast<IntConstNode>(constFold(E));
+    if (!I)
+      return std::nullopt;
+    N *= I->Val;
+  }
+  return N;
+}
+
 int autoMemType(Schedule &S, int64_t Limit) {
   int N = 0;
   std::vector<std::string> Names;
@@ -359,18 +374,9 @@ int autoMemType(Schedule &S, int64_t Limit) {
       return;
     case NodeKind::VarDef: {
       auto D = cast<VarDefNode>(St);
-      if (D->ATy == AccessType::Cache && D->MTy == MemType::CPU) {
-        int64_t Numel = 1;
-        bool AllConst = true;
-        for (const Expr &E : D->Info.Shape) {
-          if (auto I = dyn_cast<IntConstNode>(constFold(E)))
-            Numel *= I->Val;
-          else
-            AllConst = false;
-        }
-        if (AllConst && Numel <= Limit)
+      if (D->ATy == AccessType::Cache && D->MTy == MemType::CPU)
+        if (auto Numel = constNumel(D); Numel && *Numel <= Limit)
           Names.push_back(D->Name);
-      }
       Scan(D->Body);
       return;
     }
@@ -412,6 +418,217 @@ int autoUnroll(Schedule &S, int64_t Limit) {
     }
     if (!Changed)
       break;
+  }
+  return N;
+}
+
+/// Read-only integer scalars of \p F: symbols in affine index reasoning.
+IsParamFn paramsOf(const Func &F) {
+  return [&F](const std::string &N) {
+    auto D = findVarDef(F.Body, N);
+    return D && D->ATy == AccessType::Input && D->Info.Shape.empty() &&
+           isInt(D->Info.Dtype);
+  };
+}
+
+/// One access of a tensor, as the layout rule sees it.
+struct TensorUse {
+  std::vector<Expr> Indices;
+  AccessKind Kind = AccessKind::Read;
+  ReduceOpKind Op = ReduceOpKind::Add; ///< Valid when Kind == Reduce.
+};
+
+/// The accesses of every tensor in a subtree, and the tensors it defines.
+/// A GemmCall operand counts as an opaque write.
+class UseCollector : public Visitor {
+public:
+  std::map<std::string, std::vector<TensorUse>> Uses;
+  std::set<std::string> Defined;
+
+protected:
+  void visit(const LoadNode *E) override {
+    Uses[E->Var].push_back({E->Indices, AccessKind::Read});
+    Visitor::visit(E);
+  }
+  void visit(const StoreNode *S) override {
+    Uses[S->Var].push_back({S->Indices, AccessKind::Write});
+    Visitor::visit(S);
+  }
+  void visit(const ReduceToNode *S) override {
+    Uses[S->Var].push_back({S->Indices, AccessKind::Reduce, S->Op});
+    Visitor::visit(S);
+  }
+  void visit(const GemmCallNode *S) override {
+    for (const std::string &V : {S->A, S->B, S->C})
+      Uses[V].push_back({{}, AccessKind::Write});
+    Visitor::visit(S);
+  }
+  void visit(const VarDefNode *S) override {
+    Defined.insert(S->Name);
+    Visitor::visit(S);
+  }
+};
+
+UseCollector usesIn(const Stmt &S) {
+  UseCollector C;
+  C(S);
+  return C;
+}
+
+/// True when iterator \p Iter appears in an index of one of \p Uses.
+bool indexesWith(const std::vector<TensorUse> &Uses, const std::string &Iter) {
+  struct Finder : Visitor {
+    const std::string &Name;
+    bool Found = false;
+    explicit Finder(const std::string &N) : Name(N) {}
+    void visit(const VarNode *V) override { Found |= V->Name == Name; }
+  } F(Iter);
+  for (const TensorUse &U : Uses)
+    for (const Expr &I : U.Indices)
+      F(I);
+  return F.Found;
+}
+
+/// Re-proves loop \p Id after \p Copy replaced a tensor inside statement
+/// \p Root, or says why the proof fails. Every innermost loop in \p Root
+/// must reach the copy with unit stride (or not through its iterator), and
+/// a loop proven as a single-accumulator reduction must still match that
+/// pattern, which codegen lowers it by. The dependence half of vectorize's
+/// proof holds as it was: the copy maps the tensor's elements one to one,
+/// so the same iterations conflict.
+std::string reproveAfterCopy(const Func &F, const Stmt &Root, int64_t Id,
+                             const std::string &Copy) {
+  IsParamFn IsParam = paramsOf(F);
+  for (const LoopInfo &L : collectLoops(Root)) {
+    if (L.Node->Id == Id && L.Node->Property.VectorWidth > 0 &&
+        !L.Node->Property.NoDeps && !matchVectorReduction(L.Node))
+      return "loop " + std::to_string(Id) +
+             " no longer matches the single-accumulator pattern";
+    if (!L.Innermost)
+      continue;
+    for (const VecAccess &A : classifyVectorAccesses(L.Node, IsParam))
+      if (A.Var == Copy && (A.Class == VecAccessClass::Strided ||
+                            A.Class == VecAccessClass::Gather))
+        return "loop " + std::to_string(L.Node->Id) + " reaches `" + Copy +
+               "` with a " + nameOf(A.Class) + " access";
+  }
+  return {};
+}
+
+/// auto_layout, the struct-of-arrays copy for SIMD (the cache, cache_reduce
+/// and var_reorder primitives of paper §4.2.3). An innermost loop that
+/// walks a tensor with its bare iterator in a dimension that is not the
+/// last reads its lanes a whole row apart, and GCC leaves such a loop
+/// scalar (SoftRas reads `verts[f][j][k]` as an interleaved group of 6
+/// floats). When the loop runs at least \p Width iterations and the tensor
+/// has a constant shape of at most \p SizeLimit elements, the tensor gets a
+/// local copy with that dimension innermost. The copy wraps the outermost
+/// enclosing loop that does not index the tensor, so it is made once per
+/// reuse:
+///   - when every access inside is a read, cache() fills it in front;
+///   - when every access is a ReduceTo of one operator, cache_reduce()
+///     accumulates into it and reduces it back afterwards, but never while
+///     a loop around or inside it runs in parallel, whose adds into the
+///     tensor would stay atomic and whose write-back would become so.
+/// The loop must then prove again (reproveAfterCopy); otherwise the copy is
+/// rolled back, which leaves the program as it was, and an `auto_layout`
+/// rejection with the reason goes to the audit log. A loop the vectorize
+/// proof rejected keeps its copy: GCC's own vectorizer then sees unit-stride
+/// accesses (SoftRas's grad forward, whose tape store beside the
+/// accumulator defeats the single-accumulator pattern, vectorizes this
+/// way). The rule runs last, so no later rule tries its copy loops.
+int autoLayout(Schedule &S, int Width, int64_t SizeLimit, MemType MTy) {
+  int N = 0;
+  std::set<std::pair<int64_t, std::string>> Tried;
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    std::vector<LoopInfo> Loops = collectLoops(S.ast());
+    for (const LoopInfo &L : Loops) {
+      const Ref<ForNode> &Lp = L.Node;
+      if (!L.Innermost || L.Parent < 0 || Lp->Property.Parallel)
+        continue;
+      auto Len = constLen(Lp);
+      if (!Len || *Len < Width)
+        continue;
+      std::vector<int> Chain; // Enclosing loops, innermost first.
+      for (int P = L.Parent; P >= 0; P = Loops[P].Parent)
+        Chain.push_back(P);
+      UseCollector InLoop = usesIn(Lp->Body);
+      for (const auto &[Var, Uses] : InLoop.Uses) {
+        int Dim = -1;
+        for (const TensorUse &U : Uses)
+          for (size_t D = 0; Dim < 0 && D + 1 < U.Indices.size(); ++D)
+            if (auto V = dyn_cast<VarNode>(U.Indices[D]);
+                V && V->Name == Lp->Iter)
+              Dim = static_cast<int>(D);
+        if (Dim < 0 || !Tried.insert({Lp->Id, Var}).second)
+          continue;
+        auto Def = findVarDef(S.ast(), Var);
+        auto Numel = Def ? constNumel(Def) : std::nullopt;
+        if (!Numel || *Numel > SizeLimit)
+          continue;
+        // Outermost enclosing loop that does not index the tensor.
+        Ref<ForNode> Wrap;
+        UseCollector Inside;
+        for (auto It = Chain.rbegin(); It != Chain.rend() && !Wrap; ++It) {
+          Inside = usesIn(Loops[*It].Node);
+          if (!indexesWith(Inside.Uses[Var], Loops[*It].Node->Iter))
+            Wrap = Loops[*It].Node;
+        }
+        if (!Wrap || Inside.Defined.count(Var))
+          continue;
+        bool Reads = true, Reduces = true;
+        const std::vector<TensorUse> &All = Inside.Uses[Var];
+        for (const TensorUse &U : All) {
+          Reads = Reads && U.Kind == AccessKind::Read;
+          Reduces = Reduces && U.Kind == AccessKind::Reduce &&
+                    U.Op == All.front().Op;
+        }
+        if (Reduces) {
+          bool Parallel = false;
+          for (int P : Chain)
+            Parallel = Parallel || Loops[P].Node->Property.Parallel;
+          for (const LoopInfo &In : collectLoops(Wrap))
+            Parallel = Parallel || In.Node->Property.Parallel;
+          if (Parallel)
+            continue;
+        } else if (!Reads) {
+          continue;
+        }
+
+        Func Saved = S.func();
+        auto Copy = Reads ? S.cache(Wrap->Id, Var, MTy)
+                          : S.cacheReduction(Wrap->Id, Var, MTy);
+        if (!Copy.ok())
+          continue;
+        std::vector<int> Perm;
+        for (int D = 0; D < static_cast<int>(Def->Info.Shape.size()); ++D)
+          if (D != Dim)
+            Perm.push_back(D);
+        Perm.push_back(Dim);
+        std::string Why;
+        if (Status St = S.varReorder(*Copy, Perm); !St.ok())
+          Why = St.message();
+        else if (Stmt W = findStmt(S.ast(), Wrap->Id))
+          Why = reproveAfterCopy(S.func(), W, Lp->Id, *Copy);
+        else
+          Why = "the copied statement is gone";
+        if (Why.empty()) {
+          ++N;
+          Changed = true;
+          break; // The tree changed; rescan.
+        }
+        S = Schedule(std::move(Saved));
+        trace::ScheduleDecision D;
+        D.Primitive = "auto_layout";
+        D.Target = "var " + Var + " at stmt " + std::to_string(Wrap->Id);
+        D.Reason = "copy rolled back: " + Why;
+        D.StmtIds = {Wrap->Id, Lp->Id};
+        trace::recordDecision(std::move(D));
+      }
+      if (Changed)
+        break;
+    }
   }
   return N;
 }
@@ -474,6 +691,11 @@ AutoScheduleReport ft::autoSchedule(Schedule &S,
             [&] { return autoVectorize(S, Opts.VectorWidth); });
     R.Vectorized += More;
   }
+  if (Opts.Vectorize && Opts.VectorWidth > 0)
+    RunRule("auto_layout", R.Copied, [&] {
+      return autoLayout(S, Opts.VectorWidth, Opts.LocalSizeLimit,
+                        Opts.MemType ? MemType::CPULocal : MemType::CPU);
+    });
   S.cleanup();
   return R;
 }
@@ -607,11 +829,7 @@ struct TilePlan {
 /// reuse is the point of tiling, not extra footprint.
 double tileFootprintBytes(const Func &F, const Stmt &Body,
                           const std::map<std::string, int64_t> &IterSpan) {
-  IsParamFn IsParam = [&](const std::string &N) {
-    auto D = findVarDef(F.Body, N);
-    return D && D->ATy == AccessType::Input && D->Info.Shape.empty() &&
-           isInt(D->Info.Dtype);
-  };
+  IsParamFn IsParam = paramsOf(F);
   constexpr double kNonAffineSpan = 8;
   double Total = 0;
   std::set<std::string> Seen;

@@ -13,6 +13,10 @@
 ///   5. auto_use_lib     call the vendor GEMM for matmul patterns
 ///   6. auto_unroll      unroll very short innermost loops
 ///
+/// A seventh pass, auto_layout, runs last when SIMD is on: it gives a small
+/// tensor that an innermost loop walks along a non-last dimension a local
+/// copy with that dimension innermost (DESIGN.md §13).
+///
 /// On top of the rules sits a measurement-driven search (autoTuneFunc): a
 /// deterministic random walk over schedule mutations that compiles and
 /// times each candidate, keeping the fastest. Candidates are deduplicated
@@ -78,6 +82,7 @@ struct AutoScheduleReport {
   int Localized = 0;
   int LibCalls = 0;
   int Unrolled = 0;
+  int Copied = 0; ///< Struct-of-arrays copies made by auto_layout.
   /// Keyed by rule name ("auto_fuse", "auto_vectorize", ...). Collected
   /// even when tracing is off — autoSchedule forces the audit log on for
   /// the duration of its run.

@@ -11,6 +11,7 @@
 
 #include "analysis/ragged.h"
 #include "analysis/vector_legality.h"
+#include "ir/visitor.h"
 #include "support/error.h"
 #include "support/string_utils.h"
 #include "support/trace.h"
@@ -43,6 +44,31 @@ bool hasLoopOrGemm(const Stmt &S) {
   default:
     return false;
   }
+}
+
+/// Tensors a subtree loads, stores, reduces into or passes to a GemmCall.
+std::set<std::string> tensorsUsedIn(const Stmt &S) {
+  struct Collector : Visitor {
+    std::set<std::string> Names;
+    void visit(const LoadNode *E) override {
+      Names.insert(E->Var);
+      Visitor::visit(E);
+    }
+    void visit(const StoreNode *S) override {
+      Names.insert(S->Var);
+      Visitor::visit(S);
+    }
+    void visit(const ReduceToNode *S) override {
+      Names.insert(S->Var);
+      Visitor::visit(S);
+    }
+    void visit(const GemmCallNode *S) override {
+      Names.insert({S->A, S->B, S->C});
+      Visitor::visit(S);
+    }
+  } C;
+  C(S);
+  return C.Names;
 }
 
 /// True when any loop carries a proven explicit SIMD width.
@@ -457,8 +483,8 @@ private:
         return;
       }
       if (L->Property.Parallel) {
-        line("ft::rt::parallelFor(_ft_ctx, " + B + ", " + E +
-             ", [&](int64_t " + It + ") {");
+        line("ft::rt::parallelFor(_ft_ctx, " + B + ", " + E + ", " +
+             parallelCaptures(L->Body) + "(int64_t " + It + ") {");
         ++Indent;
         emitStmt(L->Body);
         --Indent;
@@ -572,6 +598,28 @@ private:
       return;
     }
     ftUnreachable("unknown reduce op");
+  }
+
+  /// Capture list of a parallelFor body. The parameter pointers and the
+  /// extents of the tensors it touches are copied into the closure: GCC
+  /// reloads a by-reference capture through the closure on every use, and
+  /// such a reload keeps an `omp simd` loop inside the body scalar. The
+  /// rest (scalar locals and stack arrays the body may write) is captured
+  /// by reference.
+  std::string parallelCaptures(const Stmt &Body) const {
+    std::set<std::string> ByValue;
+    for (const std::string &V : tensorsUsedIn(Body)) {
+      auto It = Tensors.find(V);
+      if (It == Tensors.end())
+        continue;
+      if (It->second.ATy != AccessType::Cache)
+        ByValue.insert(It->second.Ident);
+      ByValue.insert(It->second.DimVars.begin(), It->second.DimVars.end());
+    }
+    std::string Out = "[&";
+    for (const std::string &N : ByValue)
+      Out += ", " + N;
+    return Out + "]";
   }
 
   /// Serial For emission shared by the plain and profiled paths, so the
@@ -747,8 +795,8 @@ private:
       AccumSlots.insert(C);
     }
     if (L->Property.Parallel) {
-      line("ft::rt::parallelFor(_ft_ctx, " + BV + ", " + EV +
-           ", [&](int64_t " + It + ", int _ft_w) {");
+      line("ft::rt::parallelFor(_ft_ctx, " + BV + ", " + EV + ", " +
+           parallelCaptures(L->Body) + "(int64_t " + It + ", int _ft_w) {");
       ++Indent;
       line("ft::rt::ProfileEntry *const __restrict _ft_prof = "
            "ft::rt::profSlots(_ft_ctx, _ft_w);");

@@ -393,12 +393,21 @@ Result<Kernel> Kernel::compile(const Func &F, const CodegenOptions &Opts,
   }
 
   // -fopenmp-simd honors `#pragma omp simd` (and its reduction/aligned
-  // clauses) without linking the OpenMP runtime — no new dependency.
-  std::string Cmd = "g++ -std=c++20 " + OptFlags +
+  // clauses) without linking the OpenMP runtime — no new dependency. On
+  // x86-64 glibc, vectorized expf/logf calls go to libmvec, and they only
+  // vectorize when they do not set errno (ft_prelude.h).
+#if defined(__x86_64__) && defined(__GLIBC__)
+  const char *MathFlags = " -fno-math-errno";
+  const char *MathLibs = " -lmvec";
+#else
+  const char *MathFlags = "";
+  const char *MathLibs = "";
+#endif
+  std::string Cmd = "g++ -std=c++20 " + OptFlags + MathFlags +
                     " -march=native -fopenmp-simd -fPIC -shared -I " +
                     shellQuote(FT_RUNTIME_INCLUDE_DIR) + " " +
-                    shellQuote(Src) + " -o " + shellQuote(Lib) + " > " +
-                    shellQuote(Log) + " 2>&1";
+                    shellQuote(Src) + MathLibs + " -o " + shellQuote(Lib) +
+                    " > " + shellQuote(Log) + " 2>&1";
   auto TCc = std::chrono::steady_clock::now();
   int Rc = std::system(Cmd.c_str());
   double CcSec = secondsSince(TCc);

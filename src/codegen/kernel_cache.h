@@ -56,7 +56,10 @@ namespace ft::kernel_cache {
 /// v5: a float literal beside a Float32 operand is emitted as a float
 ///     (weak literal typing), so an older `.so` of the same IR computes in
 ///     double where the new code computes in float.
-inline constexpr uint64_t kSchemaVersion = 5;
+/// v6: on x86-64 glibc, kernels build with -fno-math-errno and link
+///     libmvec, so float exp/log in vectorized loops call glibc's SIMD
+///     variants (up to 4 ulp) where a v5 `.so` called the scalar ones.
+inline constexpr uint64_t kSchemaVersion = 6;
 
 /// Cache configuration as read from the environment.
 struct Config {

@@ -4,7 +4,8 @@
 /// The one header a JIT-compiled kernel includes. It holds the kernel ABI
 /// and the inline pieces of the runtime that compile into loop bodies:
 /// Python-style integer division, std::min/std::max, elementwise math on
-/// the compiler's builtins, atomic reductions (Fig. 13(e)), the reference
+/// the compiler's builtins (expf and logf with glibc's SIMD variants on
+/// x86-64), atomic reductions (Fig. 13(e)), the reference
 /// GEMM of the `as_lib` schedule, and the trampoline that hands a parallel
 /// loop body to the host's thread pool.
 ///
@@ -98,6 +99,27 @@ struct ft_rt_ctx {
   uint64_t seq;
 };
 
+// Vector math. An `omp simd` loop that calls expf or logf stays scalar
+// unless the callee has a declared SIMD variant, and glibc's <math.h>
+// declares its libmvec variants only under -ffast-math. On x86-64 glibc the
+// JIT links kernels with -lmvec and builds them with -fno-math-errno (so the
+// calls do not clobber memory), and these declarations let GCC call
+// _ZGV<isa>N<lanes>v_expf / _ZGV<isa>N<lanes>v_logf from vectorized loops;
+// scalar code still calls expf and logf. glibc bounds those variants at
+// 4 ulp. Other hosts use the compiler builtins.
+#if defined(__x86_64__) && defined(__GLIBC__)
+#define FT_RT_VECTOR_MATH 1
+// The attribute is the spelling of `#pragma omp declare simd notinbranch`
+// that glibc itself uses without OpenMP; host files include this header
+// too, and they are not built with -fopenmp-simd.
+extern "C" {
+float expf(float) noexcept __attribute__((__simd__("notinbranch")));
+float logf(float) noexcept __attribute__((__simd__("notinbranch")));
+}
+#else
+#define FT_RT_VECTOR_MATH 0
+#endif
+
 // The functions below compile into each kernel; none of them is exported.
 #pragma GCC visibility push(hidden)
 
@@ -129,16 +151,21 @@ inline double abs(double X) { return __builtin_fabs(X); }
 inline int abs(int X) { return __builtin_abs(X); }
 inline long abs(long X) { return __builtin_labs(X); }
 
-#define FT_RT_MATH(NAME)                                                       \
-  inline float NAME(float X) { return __builtin_##NAME##f(X); }                \
+#define FT_RT_MATH(NAME, FLOAT_FN)                                             \
+  inline float NAME(float X) { return FLOAT_FN(X); }                           \
   inline double NAME(double X) { return __builtin_##NAME(X); }                 \
   template <typename T> inline double NAME(T X) {                              \
     return __builtin_##NAME(double(X));                                        \
   }
-FT_RT_MATH(sqrt)
-FT_RT_MATH(exp)
-FT_RT_MATH(log)
-FT_RT_MATH(tanh)
+FT_RT_MATH(sqrt, __builtin_sqrtf)
+#if FT_RT_VECTOR_MATH
+FT_RT_MATH(exp, expf)
+FT_RT_MATH(log, logf)
+#else
+FT_RT_MATH(exp, __builtin_expf)
+FT_RT_MATH(log, __builtin_logf)
+#endif
+FT_RT_MATH(tanh, __builtin_tanhf)
 #undef FT_RT_MATH
 
 template <typename T> inline T sigmoid(T X) { return T(1) / (T(1) + exp(-X)); }
@@ -167,12 +194,15 @@ template <typename T> inline void atomicMax(T *Addr, T Val) {
   atomicRmw(Addr, Val, [](T A, T B) { return A > B ? A : B; });
 }
 
-/// The trampoline from an emitted `[&](int64_t i)` or
-/// `[&](int64_t i, int w)` loop body to a ChunkFn: the chunk loop is
-/// compiled here, with the body inlined into it.
+/// The trampoline from an emitted `[&, ...](int64_t i)` or
+/// `[&, ...](int64_t i, int w)` loop body to a ChunkFn: the chunk loop is
+/// compiled here, with the body inlined into it. The closure (pointers and
+/// extents) is copied into a local first, so its members become registers
+/// that GCC hoists out of the body's `omp simd` loops; read through \p B,
+/// they would be reloaded on every iteration.
 template <typename Body>
 void runChunk(const void *B, int64_t Begin, int64_t End, int Worker) {
-  const Body &F = *static_cast<const Body *>(B);
+  const Body F = *static_cast<const Body *>(B);
   if constexpr (requires { F(Begin, Worker); }) {
     for (int64_t I = Begin; I < End; ++I)
       F(I, Worker);

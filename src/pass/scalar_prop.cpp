@@ -3,9 +3,11 @@
 #include "pass/scalar_prop.h"
 
 #include <functional>
+#include <map>
 #include <optional>
 
 #include "analysis/access.h"
+#include "ir/visitor.h"
 #include "pass/flatten.h"
 #include "pass/pass_trace.h"
 #include "pass/remove_writes.h"
@@ -144,14 +146,68 @@ private:
   Candidate C;
 };
 
+/// Reads, writes and reductions of each scalar Cache VarDef's name inside
+/// its body, keyed by VarDef id. An access counts toward every enclosing
+/// definition of its name, as collectAccesses over each body would see it;
+/// the count skips shape expressions and GemmCall operands, so it never
+/// exceeds what findCandidate sees.
+class UseCounter : public Visitor {
+public:
+  struct Uses {
+    int Reads = 0, Writes = 0, Reduces = 0;
+  };
+  std::map<int64_t, Uses> Counts;
+
+protected:
+  void visit(const VarDefNode *S) override {
+    bool Scalar = S->ATy == AccessType::Cache && S->Info.Shape.empty();
+    if (Scalar)
+      Open[S->Name].push_back(S->Id);
+    (*this)(S->Body);
+    if (Scalar)
+      Open[S->Name].pop_back();
+  }
+  void visit(const LoadNode *E) override {
+    bump(E->Var, &Uses::Reads);
+    Visitor::visit(E);
+  }
+  void visit(const StoreNode *S) override {
+    bump(S->Var, &Uses::Writes);
+    Visitor::visit(S);
+  }
+  void visit(const ReduceToNode *S) override {
+    bump(S->Var, &Uses::Reduces);
+    Visitor::visit(S);
+  }
+  void visit(const GemmCallNode *) override {}
+
+private:
+  void bump(const std::string &Var, int Uses::*Field) {
+    auto It = Open.find(Var);
+    if (It != Open.end())
+      for (int64_t Id : It->second)
+        ++(Counts[Id].*Field);
+  }
+  std::map<std::string, std::vector<int64_t>> Open;
+};
+
 /// Walks the tree looking for one candidate; applies it; reports success.
+/// \p Counts rules out, in one walk, the scalars that are read or written
+/// twice or reduced, so the full check (an access collection of the body)
+/// runs only on the rest instead of on every nested scalar.
 class OneRound : public Mutator {
 public:
+  explicit OneRound(const std::map<int64_t, UseCounter::Uses> &Counts)
+      : Counts(Counts) {}
   bool Changed = false;
 
 protected:
   Stmt visit(const VarDefNode *S) override {
-    if (!Changed) {
+    auto It = Counts.find(S->Id);
+    bool Excluded = It != Counts.end() &&
+                    (It->second.Reads > 1 || It->second.Writes > 1 ||
+                     It->second.Reduces > 0);
+    if (!Changed && !Excluded) {
       // Re-wrap to get a shared handle for analysis.
       Stmt Self = makeVarDef(S->Name, S->Info, S->ATy, S->MTy, S->Body,
                              S->Id);
@@ -166,6 +222,9 @@ protected:
     }
     return Mutator::visit(S);
   }
+
+private:
+  const std::map<int64_t, UseCounter::Uses> &Counts;
 };
 
 } // namespace
@@ -174,7 +233,9 @@ Stmt ft::propagateScalars(const Stmt &S) {
   return pass_detail::tracedPass("pass/scalar_prop", S, [&] {
     Stmt Cur = S;
     for (int Round = 0; Round < 32; ++Round) {
-      OneRound R;
+      UseCounter UC;
+      UC(Cur);
+      OneRound R(UC.Counts);
       Stmt Next = R(Cur);
       Cur = std::move(Next);
       if (!R.Changed)

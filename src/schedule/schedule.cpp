@@ -872,14 +872,23 @@ Stmt buildCopyNest(const Stmt &Root, const CacheRegion &R,
         [&](const std::string &N) { return isIterUsed(Root, N); });
     Iters.push_back(It);
     CacheIdx.push_back(makeVar(It));
-    BaseIdx.push_back(makeAdd(R.Lower[D], makeVar(It)));
+    BaseIdx.push_back(constFold(makeAdd(R.Lower[D], makeVar(It))));
   }
+  // A dimension whose constant box lies inside the constant shape needs no
+  // guard; leaving it out spares the cleanup a simplify round.
   Expr Guard = makeBoolConst(true);
   for (size_t D = 0; D < NDim; ++D) {
+    auto Lo = constInt(R.Lower[D]), Ext = constInt(R.Extent[D]),
+         Size = constInt(Def->Info.Shape[D]);
+    if (Lo && Ext && Size && *Lo >= 0 && *Lo + *Ext <= *Size)
+      continue;
     Guard = makeLAnd(Guard, makeGE(BaseIdx[D], makeIntConst(0)));
     Guard = makeLAnd(Guard, makeLT(BaseIdx[D], Def->Info.Shape[D]));
   }
-  Stmt Body = makeIf(constFold(Guard), BodyFn(CacheIdx));
+  Guard = constFold(Guard);
+  Stmt Body = BodyFn(CacheIdx);
+  if (auto B = dyn_cast<BoolConstNode>(Guard); !B || !B->Val)
+    Body = makeIf(Guard, Body);
   for (size_t D = NDim; D-- > 0;)
     Body = makeFor(Iters[D], makeIntConst(0), R.Extent[D], ForProperty{},
                    Body);
@@ -927,7 +936,7 @@ Result<std::string> Schedule::cacheImpl(int64_t StmtId, const std::string &Var,
       F.Body, *Region, Def, [&](const std::vector<Expr> &C) {
         std::vector<Expr> Base;
         for (size_t D = 0; D < NDim; ++D)
-          Base.push_back(makeAdd(Region->Lower[D], C[D]));
+          Base.push_back(constFold(makeAdd(Region->Lower[D], C[D])));
         return makeStore(CacheName, C,
                          makeLoad(Var, Base, Def->Info.Dtype));
       });
@@ -938,7 +947,7 @@ Result<std::string> Schedule::cacheImpl(int64_t StmtId, const std::string &Var,
       remapIndices(Redirected, CacheName, [&](const std::vector<Expr> &Idx) {
         std::vector<Expr> Out;
         for (size_t D = 0; D < NDim; ++D)
-          Out.push_back(makeSub(Idx[D], Region->Lower[D]));
+          Out.push_back(constFold(makeSub(Idx[D], Region->Lower[D])));
         return Out;
       });
 
@@ -948,7 +957,7 @@ Result<std::string> Schedule::cacheImpl(int64_t StmtId, const std::string &Var,
         F.Body, *Region, Def, [&](const std::vector<Expr> &C) {
           std::vector<Expr> Base;
           for (size_t D = 0; D < NDim; ++D)
-            Base.push_back(makeAdd(Region->Lower[D], C[D]));
+            Base.push_back(constFold(makeAdd(Region->Lower[D], C[D])));
           return makeStore(Var, Base,
                            makeLoad(CacheName, C, Def->Info.Dtype));
         });
@@ -1016,14 +1025,14 @@ Result<std::string> Schedule::cacheReductionImpl(int64_t StmtId,
       remapIndices(Redirected, CacheName, [&](const std::vector<Expr> &Idx) {
         std::vector<Expr> Out;
         for (size_t D = 0; D < NDim; ++D)
-          Out.push_back(makeSub(Idx[D], Region->Lower[D]));
+          Out.push_back(constFold(makeSub(Idx[D], Region->Lower[D])));
         return Out;
       });
   Stmt Back = buildCopyNest(
       F.Body, *Region, Def, [&](const std::vector<Expr> &C) {
         std::vector<Expr> Base;
         for (size_t D = 0; D < NDim; ++D)
-          Base.push_back(makeAdd(Region->Lower[D], C[D]));
+          Base.push_back(constFold(makeAdd(Region->Lower[D], C[D])));
         return makeReduceTo(Var, Base, *Op,
                             makeLoad(CacheName, C, Def->Info.Dtype));
       });

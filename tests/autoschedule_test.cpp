@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "autodiff/grad.h"
 #include "autoschedule/autoschedule.h"
 #include "frontend/libop.h"
 #include "interp/interp.h"
 #include "ir/printer.h"
+#include "support/trace.h"
 #include "workloads/workloads.h"
 
 using namespace ft;
@@ -207,6 +209,129 @@ TEST(AutoScheduleTest, SwapEnablesFusion) {
     EXPECT_FLOAT_EQ(BZ.as<float>()[I], 0.25f * float(I) + 1.0f);
   }
   EXPECT_FLOAT_EQ(BW.as<float>()[0], 1.0f);
+}
+
+//===--------------------------------------------------------------------===//
+// auto_layout: struct-of-arrays copies for SIMD
+//===--------------------------------------------------------------------===//
+
+/// One autoSchedule run and the schedule decisions it logged.
+struct LoggedRun {
+  Func F;
+  AutoScheduleReport R;
+  std::vector<trace::ScheduleDecision> Log;
+
+  /// "cache <var>" / "cache_reduction <var>" for every copy applied.
+  std::vector<std::string> copies() const {
+    std::vector<std::string> Out;
+    for (const trace::ScheduleDecision &D : Log)
+      if (D.Applied &&
+          (D.Primitive == "cache" || D.Primitive == "cache_reduction"))
+        Out.push_back(D.Primitive + " " +
+                      D.Target.substr(4, D.Target.find(" at ") - 4));
+    return Out;
+  }
+};
+
+LoggedRun scheduleLogged(const Func &F, int NumThreads = 1,
+                         int64_t LocalSizeLimit = 4096) {
+  AutoScheduleOptions Opts;
+  Opts.NumThreads = NumThreads;
+  Opts.LocalSizeLimit = LocalSizeLimit;
+  size_t Mark = trace::auditSize();
+  LoggedRun Run;
+  Run.F = autoScheduleFunc(F, Opts, &Run.R);
+  Run.Log = trace::auditLogSince(Mark);
+  return Run;
+}
+
+using Copies = std::vector<std::string>;
+
+TEST(AutoScheduleTest, LayoutCopiesSoftRasVertsAtPerfbenchSize) {
+  Func F = workloads::buildSoftRas({128, 32, 32, 0.05f});
+  auto G = grad(F, {"verts"}, TapeStrategy::Selective);
+  ASSERT_TRUE(G.ok()) << G.message();
+  LoggedRun Fwd = scheduleLogged(F), GF = scheduleLogged(G->Forward),
+            GB = scheduleLogged(G->Backward);
+  EXPECT_EQ(Fwd.copies(), Copies{"cache verts"});
+  EXPECT_EQ(GF.copies(), Copies{"cache verts"});
+  EXPECT_EQ(GB.copies(), (Copies{"cache verts", "cache_reduction verts.grad"}));
+  EXPECT_EQ(Fwd.R.Copied, 1);
+  EXPECT_EQ(GB.R.Copied, 2);
+  // The face dimension is innermost, and the face loop stays proven.
+  std::string Ir = toString(Fwd.F.Body);
+  EXPECT_NE(Ir.find("var verts.cache: f32[3, 2, 128] @cpulocal"),
+            std::string::npos)
+      << Ir;
+  EXPECT_NE(Ir.find("verts.cache[0, 0, f]"), std::string::npos) << Ir;
+  EXPECT_NE(Ir.find("for f in 0:128  # vectorize(16)"), std::string::npos)
+      << Ir;
+  EXPECT_NE(toString(GB.F.Body).find("var verts.grad.red: f32[3, 2, 128]"),
+            std::string::npos);
+}
+
+TEST(AutoScheduleTest, LayoutCopyNeedsTripCountOfTheWidth) {
+  // 8 faces: the face loop is shorter than the 16 SIMD lanes.
+  LoggedRun Run = scheduleLogged(workloads::buildSoftRas({8, 16, 16, 0.05f}));
+  EXPECT_EQ(Run.copies(), Copies{});
+  EXPECT_EQ(Run.R.Copied, 0);
+}
+
+TEST(AutoScheduleTest, LayoutCopyNeedsASmallTensor) {
+  // verts has 1024 * 6 elements, more than LocalSizeLimit = 4096.
+  LoggedRun Run = scheduleLogged(workloads::buildSoftRas({1024, 4, 4, 0.05f}));
+  EXPECT_EQ(Run.copies(), Copies{});
+  // The same program at a limit above 768 elements gets its copy.
+  Func F = workloads::buildSoftRas({128, 4, 4, 0.05f});
+  EXPECT_EQ(scheduleLogged(F, 1, 767).copies(), Copies{});
+  EXPECT_EQ(scheduleLogged(F, 1, 768).copies(), Copies{"cache verts"});
+}
+
+TEST(AutoScheduleTest, LayoutCopyNeedsAConstantShape) {
+  LoggedRun Run = scheduleLogged(workloads::buildSoftRasDyn({}));
+  EXPECT_EQ(Run.copies(), Copies{});
+}
+
+TEST(AutoScheduleTest, ReduceCopyNeverWrapsAParallelLoop) {
+  // At 4 threads the pixel loop of the backward runs in parallel: its adds
+  // into verts.grad stay atomic, so verts.grad gets no copy. The read-only
+  // verts still does.
+  Func F = workloads::buildSoftRas({128, 32, 32, 0.05f});
+  auto G = grad(F, {"verts"}, TapeStrategy::Selective);
+  ASSERT_TRUE(G.ok()) << G.message();
+  LoggedRun GB = scheduleLogged(G->Backward, /*NumThreads=*/4);
+  EXPECT_GE(GB.R.Parallelized, 1);
+  EXPECT_EQ(GB.copies(), Copies{"cache verts"});
+  EXPECT_EQ(toString(GB.F.Body).find("verts.grad.red"), std::string::npos);
+}
+
+TEST(AutoScheduleTest, RolledBackLayoutCopyLeavesProgramByteIdentical) {
+  // The face-style loop reads t along both dimensions: a copy with the
+  // first dimension innermost makes t[f, 3] unit-stride but t[3, f]
+  // strided, so the rule rolls it back.
+  FunctionBuilder B("both_ways");
+  View T = B.input("t", {makeIntConst(32), makeIntConst(32)});
+  View Y = B.output("y", {makeIntConst(4), makeIntConst(32)});
+  B.loop("i", 0, 4, [&](Expr I) {
+    B.loop("f", 0, 32, [&](Expr Fi) {
+      Y[I][Fi].assign(T[Fi][makeIntConst(3)].load() * I +
+                      T[makeIntConst(3)][Fi].load());
+    });
+  });
+  Func F = B.build();
+  LoggedRun Tried = scheduleLogged(F);
+  LoggedRun Skipped = scheduleLogged(F, 1, /*LocalSizeLimit=*/1023);
+  EXPECT_EQ(Tried.copies(), Copies{"cache t"});
+  EXPECT_EQ(Skipped.copies(), Copies{});
+  EXPECT_EQ(Tried.R.Copied, 0);
+  bool RolledBack = false;
+  for (const trace::ScheduleDecision &D : Tried.Log)
+    if (D.Primitive == "auto_layout") {
+      RolledBack = !D.Applied;
+      EXPECT_NE(D.Reason.find("strided"), std::string::npos) << D.Reason;
+    }
+  EXPECT_TRUE(RolledBack);
+  EXPECT_EQ(toString(Tried.F.Body), toString(Skipped.F.Body));
 }
 
 TEST(AutoScheduleTest, SearchDedupsStructurallyIdenticalCandidates) {

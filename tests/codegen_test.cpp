@@ -6,11 +6,17 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include <cfloat>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "codegen/codegen.h"
 #include "codegen/jit.h"
+#include "codegen/kernel_cache.h"
 #include "frontend/libop.h"
 #include "interp/interp.h"
 #include "schedule/schedule.h"
@@ -226,6 +232,122 @@ TEST(CodegenTest, LogicalOperatorsShortCircuitInBothPaths) {
       EXPECT_EQ(YI.getF(I), YJ.getF(I)) << Op << " y[" << I << "]";
     }
   }
+}
+
+/// Position of \p X in the total order of float bit patterns, so that
+/// adjacent floats differ by one (+0 and -0 coincide).
+int64_t floatOrdinal(float X) {
+  int32_t I;
+  std::memcpy(&I, &X, sizeof(I));
+  return I >= 0 ? int64_t(I) : int64_t(INT32_MIN) - int64_t(I);
+}
+
+TEST(CodegenTest, VectorMathMatchesInterpreter) {
+  // exp, log and sigmoid in a proven `omp simd` loop. On x86-64 glibc the
+  // kernel calls glibc's vector expf and logf (ft_prelude.h), which are
+  // accurate to 4 ulp; special values must come out exactly.
+  const std::vector<float> Special = {
+      0.0f, -0.0f, INFINITY, -INFINITY, NAN, 1.0f, -1.0f, -1e-30f,
+      FLT_TRUE_MIN, -FLT_TRUE_MIN, FLT_MIN, 1e-40f, -1e-40f,
+      88.72f, 88.7228394f, 88.73f, 100.0f, -103.97f, -104.0f, -200.0f,
+      FLT_MAX, -FLT_MAX};
+  std::vector<float> X = Special;
+  for (uint32_t Bits = 1; Bits < 0x7f800000u; Bits += 0x7f800000u / 2000) {
+    float V;
+    std::memcpy(&V, &Bits, sizeof(V));
+    X.push_back(V);
+    X.push_back(-V);
+  }
+  for (int I = 0; I < 1000; ++I)
+    X.push_back(-110.0f + 0.2003f * float(I));
+  X.resize((X.size() + 15) / 16 * 16, 0.5f);
+  const int64_t N = static_cast<int64_t>(X.size());
+
+  FunctionBuilder B("vmath");
+  View In = B.input("x", {makeIntConst(N)});
+  View E = B.output("e", {makeIntConst(N)});
+  View L = B.output("l", {makeIntConst(N)});
+  View Sg = B.output("s", {makeIntConst(N)});
+  int64_t Loop = B.loop("i", 0, N, [&](Expr I) {
+    E[I].assign(ft::exp(In[I].load()));
+    L[I].assign(ft::ln(In[I].load()));
+    Sg[I].assign(ft::sigmoid(In[I].load()));
+  });
+  Schedule S(B.build());
+  ASSERT_TRUE(S.vectorize(Loop, 16).ok());
+  const Func &F = S.func();
+  EXPECT_NE(generateCpp(F).find("#pragma omp simd simdlen(16)"),
+            std::string::npos);
+
+  char Dir[] = "/tmp/ftvmath.XXXXXX";
+  ASSERT_NE(::mkdtemp(Dir), nullptr);
+  ::setenv("FT_CACHE_DIR", Dir, 1);
+  auto K = Kernel::compile(F, CodegenOptions{});
+  ASSERT_TRUE(K.ok()) << K.message();
+  kernel_cache::Key Key = kernel_cache::cacheKey(F, CodegenOptions{}, "-O3");
+  std::string So = kernel_cache::diskLookup(kernel_cache::config(), Key);
+  std::string SoBytes;
+  if (!So.empty()) {
+    std::ifstream Bin(So, std::ios::binary);
+    SoBytes.assign(std::istreambuf_iterator<char>(Bin),
+                   std::istreambuf_iterator<char>());
+  }
+  ::unsetenv("FT_CACHE_DIR");
+  std::system(("rm -rf '" + std::string(Dir) + "'").c_str());
+
+  std::map<std::string, Buffer> Ref, Jit;
+  for (auto *M : {&Ref, &Jit}) {
+    M->emplace("x", Buffer::fromF32({N}, X));
+    for (const char *O : {"e", "l", "s"})
+      M->emplace(O, Buffer(DataType::Float32, {N}));
+  }
+  auto Args = [](std::map<std::string, Buffer> &M) {
+    std::map<std::string, Buffer *> A;
+    for (auto &[Name, Buf] : M)
+      A[Name] = &Buf;
+    return A;
+  };
+  interpret(F, Args(Ref));
+  ASSERT_TRUE(K->run(Args(Jit)).ok());
+  for (const char *O : {"e", "l", "s"})
+    for (int64_t I = 0; I < N; ++I) {
+      float Want = Ref.at(O).as<float>()[I], Got = Jit.at(O).as<float>()[I];
+      if (std::isnan(Want) || std::isinf(Want) || Want == 0 || X[I] == 0 ||
+          std::isinf(X[I])) {
+        // Special values, and every NaN, infinite or zero result, are exact.
+        if (std::isnan(Want))
+          EXPECT_TRUE(std::isnan(Got)) << O << "(" << X[I] << ") = " << Got;
+        else
+          EXPECT_EQ(Want, Got) << O << "(" << X[I] << ")";
+        continue;
+      }
+      if (std::fabs(Want) < FLT_MIN && O[0] == 's') {
+        // sigmoid's float formula 1 / (1 + expf(-x)) reaches 0 once expf
+        // overflows, where the interpreter (in double) keeps a subnormal.
+        // Scalar code does the same; the result need only underflow.
+        EXPECT_LT(std::fabs(Got), FLT_MIN) << O << "(" << X[I] << ")";
+        continue;
+      }
+      EXPECT_LE(std::llabs(floatOrdinal(Want) - floatOrdinal(Got)), 4)
+          << O << "(" << X[I] << "): want " << Want << ", got " << Got;
+    }
+
+#if defined(__x86_64__) && defined(__GLIBC__)
+  // The kernel imports a SIMD variant (_ZGV<isa>N<lanes>v_expf) of each.
+  ASSERT_FALSE(SoBytes.empty()) << "no cached .so under the private cache";
+  for (const char *Fn : {"expf", "logf"}) {
+    bool Found = false;
+    for (size_t P = SoBytes.find("_ZGV"); P != std::string::npos && !Found;
+         P = SoBytes.find("_ZGV", P + 1)) {
+      std::string Sym(SoBytes.c_str() + P);
+      Found = Sym.size() > std::strlen(Fn) &&
+              Sym.compare(Sym.size() - std::strlen(Fn), std::string::npos,
+                          Fn) == 0 &&
+              Sym[Sym.size() - std::strlen(Fn) - 1] == '_';
+    }
+    EXPECT_TRUE(Found) << "no _ZGV..._" << Fn << " import";
+  }
+#endif
 }
 
 TEST(CodegenTest, MissingArgumentRejected) {

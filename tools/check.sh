@@ -12,7 +12,9 @@
 #    against a private cache directory, plain and under ASan.
 # 4. SIMD smoke: the default auto-schedule must emit `omp simd` +
 #    __restrict__ for proven loops; --vectorize-width 0 must fall back to
-#    the legacy ivdep-hint emission — plain and under ASan.
+#    the legacy ivdep-hint emission; on x86-64 glibc, SoftRas's kernel
+#    must import glibc's vector expf and logf, so a proven loop that
+#    compiles to scalar code fails — plain and under ASan.
 # 5. Dynamic-shape smoke: `ftc --dyn` must serve >= 8 distinct shapes of
 #    a shape-generic workload from ONE generic compile, pass the
 #    differential check against the naive loops, and promote the hot
@@ -190,6 +192,20 @@ simd_smoke() {
     { echo "simd smoke: width-0 emission lost the ivdep hint"; return 1; }
   if grep -q "omp simd" <<<"$Src"; then
     echo "simd smoke: width-0 emission still carries omp simd"; return 1
+  fi
+  if [[ "$(uname -m)" == x86_64 ]] && getconf GNU_LIBC_VERSION >/dev/null 2>&1
+  then
+    local CacheDir Imports
+    CacheDir="$(mktemp -d /tmp/ft_check_simd.XXXXXX)"
+    "$Ftc" --workload softras --run 1 --cache-dir "$CacheDir" >/dev/null
+    Imports="$(nm -D --undefined-only "$CacheDir"/*.so)"
+    rm -rf "$CacheDir"
+    for Fn in expf logf; do
+      grep -Eq "_ZGV[[:alnum:]]+_$Fn(@|$)" <<<"$Imports" ||
+        { echo "simd smoke: softras kernel imports no vector $Fn"
+          echo "$Imports"; return 1; }
+    done
+    echo "simd smoke OK: softras kernel imports the vector expf and logf"
   fi
   echo "simd smoke OK: default -> omp simd + __restrict__, width 0 -> ivdep"
 }
